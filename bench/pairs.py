@@ -1,0 +1,102 @@
+"""Paired benchmark runs of two checkouts, written to a BENCH_*.json file.
+
+    python3 bench/pairs.py --before DIR --after DIR --workload NAME \
+        --seeds 51-60 --out BENCH_name.json [--seconds 20]
+
+Runs ``perfbench/run.py`` (untraced) in each checkout once per seed,
+alternating which side runs first, and records every run's end-to-end
+metrics, the median and quartiles of each side, the number of pairs the
+``after`` side wins on each metric, and the machine.  Both checkouts must
+contain the same ``perfbench/`` and ``BENCHMARK.json``; run nothing else on
+the machine meanwhile.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    cpu = next((line.split(":", 1)[1].strip()
+                for line in Path("/proc/cpuinfo").read_text().splitlines()
+                if line.startswith("model name")), platform.processor())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpus": os.cpu_count(), "cpu_model": cpu,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "os": f"{platform.system()} {platform.release()}"}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--before", required=True, type=Path)
+    p.add_argument("--after", required=True, type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="one seed or a range LO-HI")
+    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--out", required=True, type=Path)
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.before / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    pairs = []
+    for i, seed in enumerate(_seeds(args.seeds)):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = _run(getattr(args, side), args.workload, seed, args.seconds)
+            print(f"seed {seed} {side}: " + ", ".join(
+                f"{name} {pair[side][name]:.6g}" for name in metrics), file=sys.stderr)
+        pairs.append(pair)
+
+    summary = {}
+    for name, better in metrics.items():
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (pr["after"][name] - pr["before"][name]) > 0 for pr in pairs)
+        summary[name] = {
+            "better": better,
+            "before": _quartiles([pr["before"][name] for pr in pairs]),
+            "after": _quartiles([pr["after"][name] for pr in pairs]),
+            "after_wins": wins,
+        }
+    report = {"workload": args.workload, "seconds": args.seconds,
+              "command": "python3 perfbench/run.py --workload W --seed N "
+                         f"--seconds {args.seconds:g} --trace 0",
+              "machine": _machine(), "pairs": pairs, "summary": summary}
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

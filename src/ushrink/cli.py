@@ -230,7 +230,8 @@ def read_dataset(path: str) -> np.ndarray:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON: raise (exit 1) rather than emit them
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _config_hash(payload: dict) -> str:

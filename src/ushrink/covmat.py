@@ -54,8 +54,8 @@ class CovShrinkResult:
         }
 
 
-def _centered(data) -> np.ndarray:
-    x = as_dataset(data)
+def _centered(x: np.ndarray) -> np.ndarray:
+    """Center a dataset already validated by ``as_dataset``."""
     if x.shape[0] < 2:
         raise InsufficientSampleError(
             f"need at least 2 observations, got {x.shape[0]}"
@@ -71,7 +71,7 @@ def _sigma_hat(xc: np.ndarray) -> np.ndarray:
 
 def spectral_summaries(data) -> SpectralSummaries:
     """The three scalar summaries driving all closed forms here."""
-    xc = _centered(data)
+    xc = _centered(as_dataset(data))
     s = _sigma_hat(xc)
     sq_norms = np.sum(xc * xc, axis=1)
     return SpectralSummaries(
@@ -182,8 +182,8 @@ def dist_sq_identity(data, tau: float = 1.0) -> float:
 
     tau = 1 is the identity target; tau = 0 reduces to ||C_hat||_F^2.
     """
-    if tau < 0:
-        raise ParameterError(f"target scale tau must be >= 0, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
     x = as_dataset(data)
     n, d = x.shape
     xc = _centered(x)

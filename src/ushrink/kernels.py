@@ -12,9 +12,11 @@ Parameterizations:
 * exponential:  K(x, y) = exp(<x, y> / scale)
 
 Setting ``bandwidth = scale = 1`` recovers the unit-parameter forms.
-Precomputed matrices are validated for symmetry but *not* projected onto the
-positive semi-definite cone; supplying a PSD matrix is the caller's
-responsibility.
+Datasets and precomputed matrices must be finite, and a Gram matrix whose
+entries overflow (the exponential kernel on large inputs) raises
+``ValueError`` rather than returning inf or nan.  Precomputed matrices are
+validated for symmetry but *not* projected onto the positive semi-definite
+cone; supplying a PSD matrix is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def as_dataset(data) -> np.ndarray:
         raise ValueError(f"dataset must be 1-D or 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("dataset is empty")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        row, col = bad[0]
+        raise ValueError(
+            f"dataset has {len(bad)} non-finite value(s) (nan or inf); "
+            f"the first is {arr[row, col]} at observation {row}, coordinate {col} "
+            "(0-based)"
+        )
     return arr
 
 
@@ -73,6 +84,10 @@ class KernelSpec:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ParameterError(
                     f"precomputed kernel matrix must be square, got shape {m.shape}"
+                )
+            if not np.isfinite(m).all():
+                raise ParameterError(
+                    "precomputed kernel matrix has non-finite entries (nan or inf)"
                 )
             scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
             if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
@@ -164,13 +179,19 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
                 f"but the dataset has {n} observations"
             )
         return GramMatrix(_symmetrize(m))
-    if spec.kind == LINEAR:
-        g = x @ x.T
-    elif spec.kind == GAUSSIAN:
-        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        g = np.exp(-sq / spec.bandwidth)
-    else:
-        g = np.exp(x @ x.T / spec.scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == LINEAR:
+            g = x @ x.T
+        elif spec.kind == GAUSSIAN:
+            sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+            g = np.exp(-sq / spec.bandwidth)
+        else:
+            g = np.exp(x @ x.T / spec.scale)
+    if not np.isfinite(g).all():
+        cause = (f": exp(<x, y> / scale) overflows at scale={spec.scale:g}; "
+                 "a larger scale avoids it" if spec.kind == EXPONENTIAL else "")
+        raise ValueError(f"the {spec.kind} kernel Gram matrix has non-finite "
+                         f"entries{cause}")
     return GramMatrix(_symmetrize(g))
 
 

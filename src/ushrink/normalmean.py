@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
 from .kernels import as_dataset
-from .shrinkage import alpha_from
+from .shrinkage import clamped_alpha
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,30 @@ def mu_check_c(data, c: float) -> NormalMeanResult:
     """
     if not 0.0 < c < 2.0:
         raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
-    x = as_dataset(data)
-    n = x.shape[0]
+    xbar, s2, alpha, estimate = mu_check_c_batch(as_dataset(data)[None], c)
+    return NormalMeanResult(xbar=xbar[0], s2=float(s2[0]), alpha=float(alpha[0]),
+                            c=c, estimate=estimate[0])
+
+
+def mu_check_c_batch(block: np.ndarray, c: float):
+    """``mu_check_c`` on every dataset of an (m, n, d) block at once.
+
+    Returns the arrays ``(xbar, s2, alpha, estimate)``, each indexed by
+    dataset first.  The reductions are fixed so that a block row equals the
+    same dataset on its own bit for bit: means along the observation axis,
+    the pooled deviation as one sum over each dataset's flattened residuals,
+    and squared norms by ``np.vecdot``.
+    """
+    m, n, _ = block.shape
     if n < 2:
         raise InsufficientSampleError(
             f"pooled deviation needs n >= 2 observations, got {n}"
         )
-    xbar = x.mean(axis=0)
-    s2 = float(np.sum((x - xbar) ** 2)) / (n - 1)
-    _, alpha = alpha_from(s2 / n, float(xbar @ xbar))
-    estimate = (1.0 - c * alpha) * xbar
-    return NormalMeanResult(xbar=xbar, s2=s2, alpha=alpha, c=c, estimate=estimate)
+    xbar = block.mean(axis=1)
+    s2 = ((block - xbar[:, None]) ** 2).reshape(m, -1).sum(axis=1) / (n - 1)
+    alpha = clamped_alpha(s2 / n, np.vecdot(xbar, xbar))
+    estimate = (1.0 - c * alpha)[:, None] * xbar
+    return xbar, s2, alpha, estimate
 
 
 def default_c(n: int) -> float:

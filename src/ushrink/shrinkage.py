@@ -112,6 +112,17 @@ def alpha_from(delta_hat: float, dist_sq: float) -> tuple[float, float]:
     return raw, min(1.0, max(0.0, raw))
 
 
+def clamped_alpha(delta_hat: np.ndarray, dist_sq: np.ndarray) -> np.ndarray:
+    """Elementwise clamped coefficient of ``alpha_from`` over arrays.
+
+    Bit-identical to ``alpha_from(d, s)[1]`` at every position, including
+    its zero-denominator rule and its mapping of a NaN ratio to 0.
+    """
+    denom = delta_hat + dist_sq
+    raw = np.divide(delta_hat, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return np.minimum(1.0, np.fmax(0.0, raw))
+
+
 def _snap(dist_sq: float) -> float:
     return 0.0 if DIST_SQ_FLOOR < dist_sq < 0.0 else dist_sq
 

@@ -3,12 +3,23 @@
 Randomness
 ----------
 All draws come from numpy's counter-based Philox bit generator.
-``sample(dist, n, seed)`` is a pure function of its arguments, and
-``mc_risk`` seeds replication ``r`` with ``seed + r``, so every replication
-is an independent, addressable stream: results are bit-reproducible and two
-estimators evaluated with the same base seed see identical datasets
-(paired comparisons come for free).  Aggregation uses exact (Shewchuk)
-summation, so the reported risk does not depend on accumulation order.
+``sample(dist, n, seed)`` is a pure function of its arguments: it returns
+the draws of a fresh ``Generator(Philox(key=seed))``.  Replication ``r``
+of a Monte Carlo run sees ``sample(dist, n, seed + r)``, so every
+replication is an independent, addressable stream: results are
+bit-reproducible and two estimators evaluated with the same base seed see
+identical datasets (paired comparisons come for free).
+
+``sample`` does not construct a generator per call: it re-keys one shared
+Philox generator to ``seed``, which puts it in exactly the state of a new
+``Philox(key=seed)`` at a fraction of the cost.  Replications run in
+blocks: the datasets of replications ``r`` .. ``r + m - 1`` fill an
+(m, n, d) array of at most ``max(BLOCK_VALUES, n * d)`` draws, so memory
+stays bounded whatever the number of replications.  Each estimator is then
+evaluated on the whole block at once, with reductions fixed so that every
+row equals the one-dataset computation bit for bit.  Aggregation uses
+exact (Shewchuk) summation, so the reported risk does not depend on
+accumulation order.
 
 Risk metrics
 ------------
@@ -23,7 +34,10 @@ unit-tested against numerical quadrature.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -191,19 +205,84 @@ class RiskEstimate:
         }
 
 
-def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. observations; deterministic in (dist, n, seed)."""
+_WORD_MASK = 2**64 - 1
+_KEY_LIMIT = 2**128  # a Philox4x64 key is two 64-bit words
+
+
+class _KeyedPhilox:
+    """One Philox generator whose key is reset for each dataset.
+
+    Philox is counter-based: its output is a fixed function of the key and a
+    counter.  Setting the key to k and zeroing the counter and the output
+    buffer therefore leaves it in exactly the state of a newly constructed
+    ``Philox(key=k)``, and each key addresses its own independent stream
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+    A reset costs a fraction of constructing a generator.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # zero counter, empty buffer
+        self._key = self._fresh["state"]["key"]
+
+    def fill(self, dist: DistSpec, key: int, out: np.ndarray) -> None:
+        """Overwrite ``out`` with the standard draws of ``Philox(key=key)``."""
+        self._key[0] = key & _WORD_MASK
+        self._key[1] = key >> 64
+        self._bitgen.state = self._fresh
+        if dist.kind == UNIFORM_BOX:
+            self._rng.random(out=out)
+        else:
+            self._rng.standard_normal(out=out)
+
+
+_SHARED_LOCK = threading.Lock()
+
+
+@functools.cache
+def _shared_stream() -> _KeyedPhilox:
+    # built on first use: ``np.random`` loads lazily, and importing the
+    # package should not pay for it
+    return _KeyedPhilox()
+
+
+def _check_sample_args(n: int, seed: int, count: int = 1) -> int:
+    """Validate n and the keys seed .. seed + count - 1; returns int(seed)."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
+    seed = int(seed)
     if seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    d = dist.dim
+    if seed + count > _KEY_LIMIT:
+        raise ParameterError(f"seeds must stay below 2**128, got {seed + count - 1}")
+    return seed
+
+
+def _standard_to(dist: DistSpec, z: np.ndarray) -> np.ndarray:
+    """Map standard draws (coordinates on the last axis) onto dist, in place."""
     if dist.kind == SPHERICAL_GAUSSIAN:
-        return dist.mu + dist.sigma * rng.standard_normal((n, d))
-    if dist.kind == DIAG_GAUSSIAN:
-        return dist.mu + dist.sigmas * rng.standard_normal((n, d))
-    return dist.lo + (dist.hi - dist.lo) * rng.random((n, d))
+        z *= dist.sigma
+        z += dist.mu
+    elif dist.kind == DIAG_GAUSSIAN:
+        z *= dist.sigmas
+        z += dist.mu
+    else:
+        z *= dist.hi - dist.lo
+        z += dist.lo
+    return z
+
+
+def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. observations; deterministic in (dist, n, seed).
+
+    The draws are those of ``np.random.Generator(np.random.Philox(key=seed))``.
+    """
+    seed = _check_sample_args(n, seed)
+    out = np.empty((n, dist.dim))
+    with _SHARED_LOCK:
+        _shared_stream().fill(dist, seed, out)
+    return _standard_to(dist, out)
 
 
 # ---------------------------------------------------------------------------
@@ -248,69 +327,42 @@ def gaussian_embed_norm_sq(d: int, sigma: float, bandwidth: float) -> float:
 # replication engine
 # ---------------------------------------------------------------------------
 
-_MEAN_KINDS = (SAMPLE_MEAN, MU_CHECK, MU_CHECK_C, FIXED_ALPHA_MEAN)
+# Replications are drawn and evaluated in blocks of at most this many float64
+# values (256 KiB), or of one dataset where n * d is larger, so memory does
+# not grow with the number of replications.
+BLOCK_VALUES = 2**15
 
 
-def _check_supported(est: EstimatorSpec, dist: DistSpec) -> None:
-    if est.kind in _MEAN_KINDS or est.kind in (COV_MAT_SHRINK, COV_MAT_PLAIN):
-        return
-    if est.kind == MEAN_EMBED_SHRINK:
-        if est.target is not None and est.target.kind != ZERO:
-            raise CapabilityError(
-                "embedding risk is only implemented for the zero target"
-            )
-        if est.kernel.kind == LINEAR:
-            return
-        if est.kernel.kind == GAUSSIAN:
-            if dist.kind != SPHERICAL_GAUSSIAN:
-                raise CapabilityError(
-                    "Gaussian-kernel embedding risk needs spherical Gaussian "
-                    f"inputs, got {dist.kind}"
-                )
-            return
-        raise CapabilityError(
-            f"no closed-form embedding moments for the {est.kernel.kind} kernel"
-        )
-    raise CapabilityError(f"unknown estimator kind {est.kind!r}")
+def _mean_errors(est, dist, block):
+    diff = block.mean(axis=1) - dist.mean
+    return np.vecdot(diff, diff), np.full(len(block), math.nan)
 
 
-def _replicate(est: EstimatorSpec, dist: DistSpec, n: int,
-               rep_seed: int) -> tuple[float, float]:
-    """One replication: (squared error, shrinkage coefficient or nan)."""
-    data = sample(dist, n, rep_seed)
-    kind = est.kind
+def _fixed_alpha_errors(est, dist, block):
+    diff = (1.0 - est.alpha) * block.mean(axis=1) - dist.mean
+    return np.vecdot(diff, diff), np.full(len(block), est.alpha)
 
-    if kind in _MEAN_KINDS:
-        mu = dist.mean
-        if kind == SAMPLE_MEAN:
-            diff = data.mean(axis=0) - mu
-            return float(diff @ diff), math.nan
-        if kind == FIXED_ALPHA_MEAN:
-            diff = (1.0 - est.alpha) * data.mean(axis=0) - mu
-            return float(diff @ diff), est.alpha
-        c = 1.0 if kind == MU_CHECK else est.c
-        res = normalmean.mu_check_c(data, c)
-        diff = res.estimate - mu
-        return float(diff @ diff), res.alpha
 
-    if kind == COV_MAT_PLAIN:
-        cov = dist.covariance
-        xc = data - data.mean(axis=0)
-        c_hat = xc.T @ xc / (n - 1)
-        diff = c_hat - cov
-        return float(np.sum(diff * diff)), math.nan
+def _shrunk_mean_errors(est, dist, block):
+    c = 1.0 if est.c is None else est.c
+    _, _, alpha, estimate = normalmean.mu_check_c_batch(block, c)
+    diff = estimate - dist.mean
+    return np.vecdot(diff, diff), alpha
 
-    if kind == COV_MAT_SHRINK:
-        cov = dist.covariance
-        res = covmat.shrink_cov_matrix(data, tau=est.tau, variant=est.variant)
-        diff = res.shrunk - cov
-        return float(np.sum(diff * diff)), res.report.alpha
 
-    # mean embedding
-    if est.kernel.kind == LINEAR:
-        res = normalmean.mu_check(data)
-        diff = res.estimate - dist.mean
-        return float(diff @ diff), res.alpha
+def _cov_plain_error(est, dist, data):
+    xc = data - data.mean(axis=0)
+    diff = xc.T @ xc / (len(data) - 1) - dist.covariance
+    return float(np.sum(diff * diff)), math.nan
+
+
+def _cov_shrink_error(est, dist, data):
+    res = covmat.shrink_cov_matrix(data, tau=est.tau, variant=est.variant)
+    diff = res.shrunk - dist.covariance
+    return float(np.sum(diff * diff)), res.report.alpha
+
+
+def _gaussian_embed_error(est, dist, data):
     _, report = shrink_mean(gram(est.kernel, data))
     w = 1.0 - report.alpha
     cross = gaussian_kernel_location_moment(
@@ -321,20 +373,75 @@ def _replicate(est: EstimatorSpec, dist: DistSpec, n: int,
     return err, report.alpha
 
 
+def _each(one):
+    """Apply a one-dataset (error, alpha) function to every row of a block."""
+    def batch(est, dist, block):
+        pairs = np.array([one(est, dist, data) for data in block])
+        return pairs[:, 0], pairs[:, 1]
+    return batch
+
+
+# estimator kind -> (est, dist, block) -> (squared errors, coefficients)
+_BATCHED = {
+    SAMPLE_MEAN: _mean_errors,
+    FIXED_ALPHA_MEAN: _fixed_alpha_errors,
+    MU_CHECK: _shrunk_mean_errors,
+    MU_CHECK_C: _shrunk_mean_errors,
+    COV_MAT_PLAIN: _each(_cov_plain_error),
+    COV_MAT_SHRINK: _each(_cov_shrink_error),
+}
+_GAUSSIAN_EMBED = _each(_gaussian_embed_error)
+
+
+def _batched(est: EstimatorSpec, dist: DistSpec):
+    """The block function of est under dist; CapabilityError if there is none."""
+    if est.kind != MEAN_EMBED_SHRINK:
+        if est.kind not in _BATCHED:
+            raise CapabilityError(f"unknown estimator kind {est.kind!r}")
+        return _BATCHED[est.kind]
+    if est.target is not None and est.target.kind != ZERO:
+        raise CapabilityError("embedding risk is only implemented for the zero target")
+    if est.kernel.kind == LINEAR:
+        return _shrunk_mean_errors
+    if est.kernel.kind == GAUSSIAN:
+        if dist.kind != SPHERICAL_GAUSSIAN:
+            raise CapabilityError(
+                "Gaussian-kernel embedding risk needs spherical Gaussian "
+                f"inputs, got {dist.kind}"
+            )
+        return _GAUSSIAN_EMBED
+    raise CapabilityError(
+        f"no closed-form embedding moments for the {est.kernel.kind} kernel"
+    )
+
+
 def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
               seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-replication squared errors and shrinkage coefficients.
 
-    Replication r is seeded with seed + r.  The coefficient array is nan for
-    estimators without one (sample mean, plain covariance).
+    Replication r sees ``sample(dist, n, seed + r)``.  The coefficient array
+    is nan for estimators without one (sample mean, plain covariance).
+    Replications run in blocks: the datasets of up to ``BLOCK_VALUES``
+    draws (one dataset if it alone is larger) fill an (m, n, d) array, and
+    the estimator is evaluated on the whole block.
     """
     if reps < 1:
         raise ParameterError(f"need reps >= 1, got {reps}")
-    _check_supported(est, dist)
+    batch = _batched(est, dist)
+    seed = _check_sample_args(n, seed, reps)
+    per_block = max(1, BLOCK_VALUES // (n * dist.dim))
+    buf = np.empty((min(per_block, reps), n, dist.dim))
     errs = np.empty(reps)
     alphas = np.empty(reps)
-    for r in range(reps):
-        errs[r], alphas[r] = _replicate(est, dist, n, seed + r)
+    for lo in range(0, reps, per_block):
+        block = buf[:min(per_block, reps - lo)]
+        # one ``sample`` call per replication: the dataset of replication r
+        # is sample(dist, n, seed + r) by construction, and the benchmark's
+        # span tracer attributes sampling time through these calls
+        for i in range(len(block)):
+            block[i] = sample(dist, n, seed + lo + i)
+        hi = lo + len(block)
+        errs[lo:hi], alphas[lo:hi] = batch(est, dist, block)
     return errs, alphas
 
 
@@ -352,11 +459,26 @@ def mc_alphas(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     return mc_detail(est, dist, n, reps, seed)[1]
 
 
+_FSUM_CHUNK = 1024
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Shewchuk-exact sum, converting ``_FSUM_CHUNK`` values to floats at a time.
+
+    ``math.fsum`` over the array itself would box every element as a numpy
+    scalar; one ``tolist`` of the whole array would hold them all at once.
+    """
+    return math.fsum(itertools.chain.from_iterable(
+        values[i:i + _FSUM_CHUNK].tolist()
+        for i in range(0, len(values), _FSUM_CHUNK)))
+
+
 def summarize_errors(errs: np.ndarray, reps: int, seed: int) -> RiskEstimate:
     """Order-independent mean and standard error of per-replication errors."""
-    mse = math.fsum(errs) / len(errs)
+    errs = np.asarray(errs, dtype=float)
+    mse = _exact_sum(errs) / len(errs)
     if len(errs) > 1:
-        var = math.fsum((e - mse) ** 2 for e in errs) / (len(errs) - 1)
+        var = _exact_sum((errs - mse) ** 2) / (len(errs) - 1)
     else:
         var = 0.0
     return RiskEstimate(
@@ -367,6 +489,11 @@ def summarize_errors(errs: np.ndarray, reps: int, seed: int) -> RiskEstimate:
     )
 
 
+def _check_min_reps(reps: int) -> None:
+    if reps < MIN_REPS:
+        raise ParameterError(f"need reps >= {MIN_REPS}, got {reps}")
+
+
 def mc_risk(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
             seed: int) -> RiskEstimate:
     """Monte Carlo risk of an estimator against the analytic estimand.
@@ -374,8 +501,7 @@ def mc_risk(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     Requires reps >= 100; smaller runs are statistically meaningless and are
     rejected rather than reported.
     """
-    if reps < MIN_REPS:
-        raise ParameterError(f"need reps >= {MIN_REPS}, got {reps}")
+    _check_min_reps(reps)
     errs = mc_errors(est, dist, n, reps, seed)
     return summarize_errors(errs, reps, seed)
 
@@ -453,24 +579,30 @@ def experiment_names() -> list[str]:
     return sorted(_EXPERIMENTS)
 
 
-def _risk_row(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
-              seed: int) -> dict:
-    risk = mc_risk(est, dist, n, reps, seed)
+def _risk_row(est: EstimatorSpec, dist: DistSpec, n: int,
+              risk: RiskEstimate) -> dict:
     return {
         "estimator": est.label(),
         "n": n,
         "d": dist.dim,
-        "reps": reps,
+        "reps": risk.reps,
         "mse": risk.mean_sq_error,
         "stderr": risk.std_error,
     }
 
 
-def _paired_summary(est_a, est_b, dist, n, reps, seed) -> dict:
-    errs_a = mc_errors(est_a, dist, n, reps, seed)
-    errs_b = mc_errors(est_b, dist, n, reps, seed)
-    diff = errs_a - errs_b
-    summary = summarize_errors(diff, reps, seed)
+def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
+               seed: int) -> tuple[list[dict], list[np.ndarray]]:
+    """Risk rows of estimators on shared datasets, with their per-replication errors."""
+    _check_min_reps(reps)
+    errs = [mc_errors(est, dist, n, reps, seed) for est in ests]
+    rows = [_risk_row(est, dist, n, summarize_errors(e, reps, seed))
+            for est, e in zip(ests, errs)]
+    return rows, errs
+
+
+def _paired_summary(est_a, est_b, errs_a, errs_b, reps, seed) -> dict:
+    summary = summarize_errors(errs_a - errs_b, reps, seed)
     return {
         "difference": f"{est_a.label()} - {est_b.label()}",
         "mean": summary.mean_sq_error,
@@ -499,10 +631,10 @@ def run_experiment(
         mu[0] = 1.0
         dist = DistSpec.spherical_gaussian(mu, 1.0)
         plain, shrunk = EstimatorSpec.sample_mean(), EstimatorSpec.mu_check()
-        out["results"] = [
-            _risk_row(e, dist, 5, reps, seed) for e in (plain, shrunk)
-        ]
-        out["paired"] = _paired_summary(shrunk, plain, dist, 5, reps, seed)
+        out["results"], (errs_plain, errs_shrunk) = _risk_rows(
+            (plain, shrunk), dist, 5, reps, seed)
+        out["paired"] = _paired_summary(shrunk, plain, errs_shrunk, errs_plain,
+                                        reps, seed)
         return out
 
     if name == "damped-improvement":
@@ -513,10 +645,10 @@ def run_experiment(
         n = 10
         plain = EstimatorSpec.sample_mean()
         damped = EstimatorSpec.mu_check_c(normalmean.default_c(n))
-        out["results"] = [
-            _risk_row(e, dist, n, reps, seed) for e in (plain, damped)
-        ]
-        out["paired"] = _paired_summary(damped, plain, dist, n, reps, seed)
+        out["results"], (errs_plain, errs_damped) = _risk_rows(
+            (plain, damped), dist, n, reps, seed)
+        out["paired"] = _paired_summary(damped, plain, errs_damped, errs_plain,
+                                        reps, seed)
         return out
 
     if name == "consistency":
@@ -531,12 +663,7 @@ def run_experiment(
             risk = summarize_errors(errs, reps, seed)
             a_star = oracle_alpha(dist, est, n)
             rows.append({
-                "estimator": est.label(),
-                "n": n,
-                "d": dist.dim,
-                "reps": reps,
-                "mse": risk.mean_sq_error,
-                "stderr": risk.std_error,
+                **_risk_row(est, dist, n, risk),
                 "oracle_alpha": a_star,
                 "median_alpha_gap": float(np.median(np.abs(alphas - a_star))),
             })
@@ -556,5 +683,5 @@ def run_experiment(
         EstimatorSpec.mu_check(),
     )
     out["oracle_alpha"] = a_star
-    out["results"] = [_risk_row(e, dist, n, reps, seed) for e in ests]
+    out["results"], _ = _risk_rows(ests, dist, n, reps, seed)
     return out

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -255,3 +256,61 @@ def test_out_path_writes_file(tmp_path, capsys, data_csv):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out_file.read_text())["alpha"] == 0.5
+
+
+class TestNonFiniteInput:
+    # a non-finite value must fail with exit 1, never produce NaN tokens
+    # (which are not JSON) on stdout
+    ROWS = "1,2,3\n{bad},1,2\n3,4,5\n1,1,1\n2,2,2\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["normal-mean"],
+        ["cov-shrink"],
+        ["mean-shrink"],
+        ["mean-shrink", "--kernel", "gaussian"],
+    ])
+    def test_rejected(self, capsys, tmp_path, argv, bad):
+        path = tmp_path / "x.csv"
+        path.write_text(self.ROWS.format(bad=bad))
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_precomputed_gram_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("1,nan\nnan,1\n")
+        code, out, err = run_cli(capsys, "mean-shrink", "--kernel", "precomputed",
+                                 "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_exponential_overflow(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("100,100\n101,99\n99,100\n")
+        code, out, err = run_cli(capsys, "mean-shrink", "--kernel", "exponential",
+                                 "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "exponential" in err and "scale=1" in err
+        # a scale that keeps exp(<x, y> / scale) finite succeeds
+        code, out, _ = run_cli(capsys, "mean-shrink", "--kernel", "exponential",
+                               "--scale", "1000", "--input", str(path))
+        assert code == 0
+        assert math.isfinite(json.loads(out)["report"]["delta_hat"])
+
+    def test_non_finite_tau_rejected(self, capsys, cov_csv):
+        code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,
+                                 "--tau", "nan", "--output", "csv")
+        assert code == 1
+        assert out == ""
+        assert "tau" in err
+
+    def test_non_finite_flag_value_gives_no_invalid_json(self, capsys, data_csv):
+        code, out, err = run_cli(capsys, "mean-shrink", "--input", data_csv,
+                                 "--eval-point", "nan,0,0,0,0")
+        assert code == 1
+        assert out == ""
+        assert "JSON" in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,12 @@ class TestDistSqIdentity:
     def test_negative_tau_rejected(self):
         with pytest.raises(ParameterError):
             dist_sq_identity(PAIR, -0.5)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # nan < 0 is False, so a sign check alone lets nan through
+        with pytest.raises(ParameterError, match="finite"):
+            dist_sq_identity(PAIR, tau)
 
 
 class TestShrinkCovMatrix:

@@ -139,3 +139,25 @@ def test_load_gram_csv_roundtrip(tmp_path):
     np.savetxt(path, m, delimiter=",")
     g = load_gram_csv(path)
     assert np.allclose(g.entries, m, rtol=0, atol=0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dataset_rejected(self, bad):
+        data = np.ones((4, 2))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="observation 2, coordinate 1"):
+            gram(KernelSpec.linear(), data)
+
+    def test_precomputed_nan_rejected(self):
+        # nan - nan is nan and nan > tol is False, so the symmetry check alone
+        # would let this matrix through
+        with pytest.raises(ParameterError, match="non-finite"):
+            KernelSpec.precomputed([[1.0, math.nan], [math.nan, 1.0]])
+
+    def test_exponential_overflow_names_scale(self):
+        data = np.array([[100.0, 100.0], [101.0, 99.0], [99.0, 100.0]])
+        with pytest.raises(ValueError, match=r"exponential.*scale=2"):
+            gram(KernelSpec.exponential(2.0), data)
+        g = gram(KernelSpec.exponential(1e5), data)
+        assert np.isfinite(g.entries).all()

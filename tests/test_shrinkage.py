@@ -23,6 +23,7 @@ from ushrink import (
     shrink_covop_degen,
     shrink_mean,
 )
+from ushrink.shrinkage import clamped_alpha
 
 LINEAR = KernelSpec.linear()
 ALL_SPECS = [LINEAR, KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
@@ -47,6 +48,15 @@ class TestAlphaFrom:
 
     def test_zero_over_zero(self):
         assert alpha_from(0.0, 0.0) == (0.0, 0.0)
+
+    def test_clamped_alpha_matches_elementwise(self):
+        # the array form used by batched Monte Carlo replication
+        vals = [0.0, -0.0, 1e-300, 0.3, 1.0, 7.5, -0.1, -2.0, math.inf, math.nan]
+        delta, dist_sq = (np.array(v) for v in zip(*[(a, b) for a in vals for b in vals]))
+        with np.errstate(invalid="ignore"):
+            got = clamped_alpha(delta, dist_sq)
+        want = [alpha_from(a, b)[1] for a, b in zip(delta.tolist(), dist_sq.tolist())]
+        assert got.tolist() == want
 
 
 class TestDeltaGeneral:

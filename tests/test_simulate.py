@@ -8,6 +8,7 @@ from ushrink import (
     CapabilityError,
     DistSpec,
     EstimatorSpec,
+    InsufficientSampleError,
     KernelSpec,
     ParameterError,
     gaussian_embed_norm_sq,
@@ -20,6 +21,7 @@ from ushrink import (
     run_experiment,
     sample,
 )
+from ushrink import normalmean, simulate
 from ushrink.simulate import mc_detail
 
 
@@ -264,3 +266,98 @@ class TestExperiments:
     def test_unknown_experiment(self):
         with pytest.raises(ParameterError):
             run_experiment("nope")
+
+
+DISTS = {
+    "spherical": DistSpec.spherical_gaussian(np.array([1.0, -0.5, 2.0]), 1.3),
+    "diagonal": DistSpec.diag_gaussian([0.5, 0.0, -1.0], [0.7, 1.0, 2.5]),
+    "uniform": DistSpec.uniform_box([-1.0, 0.0, 2.0], [1.0, 0.5, 5.0]),
+}
+
+
+def fresh_draws(dist, n, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    if dist.kind == "uniform_box":
+        return dist.lo + (dist.hi - dist.lo) * rng.random((n, dist.dim))
+    sigma = dist.sigma if dist.kind == "spherical_gaussian" else dist.sigmas
+    return dist.mu + sigma * rng.standard_normal((n, dist.dim))
+
+
+class TestSamplingContract:
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_equals_fresh_philox(self, name):
+        dist = DISTS[name]
+        for key in (0, 1, 17, 2**40 + 3, 2**64 + 5):
+            assert np.array_equal(sample(dist, 7, key), fresh_draws(dist, 7, key))
+
+    def test_interleaved_calls(self):
+        # each call starts its own stream, whatever was drawn before it
+        expected = {(name, key): fresh_draws(DISTS[name], 5, key)
+                    for name in DISTS for key in (3, 4)}
+        for key in (3, 4, 3):
+            for name in ("uniform", "spherical", "diagonal"):
+                assert np.array_equal(sample(DISTS[name], 5, key),
+                                      expected[name, key])
+
+    def test_key_range(self):
+        dist = DISTS["spherical"]
+        with pytest.raises(ParameterError):
+            sample(dist, 3, 2**128)
+
+
+class TestBatchedReplication:
+    # the blocked engine must reproduce, bit for bit, a loop over
+    # sample(dist, n, seed + r) through the one-dataset estimators
+    N, SEED = 6, 900
+
+    @staticmethod
+    def loop(est, dist, n, reps, seed):
+        errs, alphas = [], []
+        for r in range(reps):
+            data = sample(dist, n, seed + r)
+            if est.kind == "sample_mean":
+                diff, alpha = data.mean(axis=0) - dist.mean, math.nan
+            elif est.kind == "fixed_alpha_mean":
+                diff = (1.0 - est.alpha) * data.mean(axis=0) - dist.mean
+                alpha = est.alpha
+            else:
+                res = normalmean.mu_check_c(data, 1.0 if est.c is None else est.c)
+                diff, alpha = res.estimate - dist.mean, res.alpha
+            errs.append(float(diff @ diff))
+            alphas.append(alpha)
+        return np.array(errs), np.array(alphas)
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    @pytest.mark.parametrize("est", [
+        EstimatorSpec.sample_mean(),
+        EstimatorSpec.fixed_alpha_mean(0.25),
+        EstimatorSpec.mu_check(),
+        EstimatorSpec.mu_check_c(0.6),
+        EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
+    ], ids=lambda est: est.label())
+    def test_matches_loop(self, name, est):
+        dist = DISTS[name]
+        per_block = simulate.BLOCK_VALUES // (self.N * dist.dim)
+        reps = per_block + 37  # one full block and part of a second
+        errs, alphas = mc_detail(est, dist, self.N, reps, self.SEED)
+        ref_errs, ref_alphas = self.loop(est, dist, self.N, reps, self.SEED)
+        assert np.array_equal(errs, ref_errs)
+        assert np.array_equal(alphas, ref_alphas, equal_nan=True)
+
+    def test_per_replication_estimators_see_block_rows(self):
+        dist = DistSpec.spherical_gaussian(np.zeros(2), 1.0)
+        errs = mc_errors(EstimatorSpec.cov_mat_plain(), dist, 5, 100, 60)
+        for r in (0, 57, 99):
+            xc = sample(dist, 5, 60 + r)
+            xc = xc - xc.mean(axis=0)
+            diff = xc.T @ xc / 4 - dist.covariance
+            assert errs[r] == float(np.sum(diff * diff))
+
+    def test_single_observation_rejected(self):
+        dist = DISTS["spherical"]
+        with pytest.raises(InsufficientSampleError):
+            mc_errors(EstimatorSpec.mu_check(), dist, 1, 100, 0)
+
+    def test_experiment_reps_floor(self):
+        with pytest.raises(ParameterError, match="reps"):
+            run_experiment("mean-improvement", reps=99)
