@@ -20,9 +20,11 @@ budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import io
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -165,6 +167,10 @@ def parse_args(argv) -> RunConfig:
             )
         if config.output == "csv":
             raise UsageError("mean-shrink supports only --output json")
+        if config.eval_point is not None:
+            _parse_float_list(config.eval_point, "--eval-point")
+        if config.target_coeffs is not None:
+            _parse_float_list(config.target_coeffs, "--target-coeffs")
     if config.subcommand == "normal-mean":
         if config.c is not None and not 0.0 < config.c < 2.0:
             raise UsageError(f"--c must lie in (0, 2), got {config.c}")
@@ -197,36 +203,45 @@ def _parse_float_list(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
     if not values:
         raise UsageError(f"{flag} received an empty list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
     return np.array(values)
 
 
 def read_dataset(path: str) -> np.ndarray:
-    """Load observations from CSV; auto-detects one optional header row."""
+    """Load observations from CSV; auto-detects one optional header row.
+
+    ``path`` is a file name, or ``-`` for stdin.  Blank lines are skipped,
+    and the first non-blank line is a header, and is dropped, when one of
+    its comma-separated cells is not a number.  The remaining lines stream
+    from the file into ``np.loadtxt``, so no copy of the text is held beside
+    the parsed array.  Raises ``ValueError`` naming ``path`` when the file
+    cannot be opened, is empty, has a header but no data rows, or is
+    malformed (ragged rows, non-numeric cells).
+    """
     if path == "-":
-        text = sys.stdin.read()
+        source = contextlib.nullcontext(sys.stdin)
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            source = open(path, "r", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty input")
-    skip = 0
-    first = lines[0].split(",")
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        skip = 1
-    if skip == len(lines):
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(lines[skip:])),
-                          delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed CSV ({exc})") from None
-    return data
+    with source as fh:
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: empty input")
+        try:
+            [float(cell) for cell in first.split(",")]
+        except ValueError:
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows") from None
+        try:
+            return np.loadtxt(itertools.chain([first], rows),
+                              delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed CSV ({exc})") from None
 
 
 def _dump_json(obj) -> str:

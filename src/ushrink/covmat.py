@@ -72,7 +72,11 @@ def _sigma_hat(xc: np.ndarray) -> np.ndarray:
 def spectral_summaries(data) -> SpectralSummaries:
     """The three scalar summaries driving all closed forms here."""
     xc = _centered(as_dataset(data))
-    s = _sigma_hat(xc)
+    return _summaries(xc, _sigma_hat(xc))
+
+
+def _summaries(xc: np.ndarray, s: np.ndarray) -> SpectralSummaries:
+    """Summaries from the centered data and its Sigma_hat."""
     sq_norms = np.sum(xc * xc, axis=1)
     return SpectralSummaries(
         sum_fourth=float(np.sum(sq_norms * sq_norms)),
@@ -132,6 +136,15 @@ def moment_identity_check(data) -> list[tuple[float, float]]:
     return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
 
 
+def _closed_form_n(x: np.ndarray) -> int:
+    n = x.shape[0]
+    if n < 4:
+        raise InsufficientSampleError(
+            f"closed forms require n >= 4, got {n} (coefficient denominators vanish)"
+        )
+    return n
+
+
 def delta_general_closed(data) -> float:
     """Closed form of the general risk estimate under the linear kernel.
 
@@ -140,12 +153,10 @@ def delta_general_closed(data) -> float:
       - n / ((n-1)(n-2)(n-3)) * tr_sq
     """
     x = as_dataset(data)
-    n = x.shape[0]
-    if n < 4:
-        raise InsufficientSampleError(
-            f"closed forms require n >= 4, got {n} (coefficient denominators vanish)"
-        )
-    s = spectral_summaries(x)
+    return _delta_general(_closed_form_n(x), spectral_summaries(x))
+
+
+def _delta_general(n: int, s: SpectralSummaries) -> float:
     return (
         s.sum_fourth / ((n - 2) * (n - 3))
         - n * (n + 1) / ((n - 1) ** 2 * (n - 3)) * s.tr_s2
@@ -161,18 +172,21 @@ def delta_degen_closed(data) -> float:
       + n^2 (n^2 - 5n + 4) / (2 C(n,2) P(n,4)) * tr_sq
     """
     x = as_dataset(data)
-    n = x.shape[0]
-    if n < 4:
-        raise InsufficientSampleError(
-            f"closed forms require n >= 4, got {n} (coefficient denominators vanish)"
-        )
-    s = spectral_summaries(x)
+    return _delta_degen(_closed_form_n(x), spectral_summaries(x))
+
+
+def _delta_degen(n: int, s: SpectralSummaries) -> float:
     c2p4 = math.comb(n, 2) * math.perm(n, 4)
     return (
         n * (n * n - 3 * n + 4) / (2 * c2p4) * s.sum_fourth
         - 2 * n * n * (n - 2) / c2p4 * s.tr_s2
         + n * n * (n * n - 5 * n + 4) / (2 * c2p4) * s.tr_sq
     )
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
 
 
 def dist_sq_identity(data, tau: float = 1.0) -> float:
@@ -182,14 +196,14 @@ def dist_sq_identity(data, tau: float = 1.0) -> float:
 
     tau = 1 is the identity target; tau = 0 reduces to ||C_hat||_F^2.
     """
-    if not 0 <= tau < math.inf:
-        raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
+    _check_tau(tau)
     x = as_dataset(data)
     n, d = x.shape
-    xc = _centered(x)
-    s = _sigma_hat(xc)
-    tr = float(np.trace(s))
-    tr_s2 = float(np.trace(s @ s))
+    s = _sigma_hat(_centered(x))
+    return _dist_sq(n, d, float(np.trace(s)), float(np.trace(s @ s)), tau)
+
+
+def _dist_sq(n: int, d: int, tr: float, tr_s2: float, tau: float) -> float:
     return (
         n * n / (n - 1) ** 2 * tr_s2
         - 2 * n * tau / (n - 1) * tr
@@ -206,7 +220,8 @@ def shrink_cov_matrix(
 
     ``variant`` selects the general or the degenerate risk estimate; the
     shrunk matrix is (1 - alpha) C_hat + alpha tau I with alpha the clamped
-    plug-in coefficient.
+    plug-in coefficient.  The data are validated, centered and reduced to
+    Sigma_hat once, and every closed form is evaluated from those.
     """
     if variant not in _VARIANTS:
         raise ParameterError(
@@ -218,11 +233,13 @@ def shrink_cov_matrix(
         raise InsufficientSampleError(
             f"covariance shrinkage requires n >= 4, got {n}"
         )
-    delta = delta_general_closed(x) if variant == GENERAL else delta_degen_closed(x)
-    dist_sq = dist_sq_identity(x, tau)
-    raw, alpha = alpha_from(delta, dist_sq)
+    _check_tau(tau)
     xc = _centered(x)
     sigma = _sigma_hat(xc)
+    summaries = _summaries(xc, sigma)
+    delta = (_delta_general if variant == GENERAL else _delta_degen)(n, summaries)
+    dist_sq = _dist_sq(n, d, float(np.trace(sigma)), summaries.tr_s2, tau)
+    raw, alpha = alpha_from(delta, dist_sq)
     c_hat = n / (n - 1) * sigma
     shrunk = (1.0 - alpha) * c_hat + alpha * tau * np.eye(d)
     report = ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,

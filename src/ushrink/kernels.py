@@ -12,6 +12,9 @@ Parameterizations:
 * exponential:  K(x, y) = exp(<x, y> / scale)
 
 Setting ``bandwidth = scale = 1`` recovers the unit-parameter forms.
+``gram`` needs O(n^2) memory for n observations whatever the dimension d:
+the Gaussian Gram sums its squared distances one coordinate at a time, in
+coordinate order, into one n x n array.
 Datasets and precomputed matrices must be finite, and a Gram matrix whose
 entries overflow (the exponential kernel on large inputs) raises
 ``ValueError`` rather than returning inf or nan.  Precomputed matrices are
@@ -164,9 +167,14 @@ def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], floa
 def gram(spec: KernelSpec, data) -> GramMatrix:
     """Build the Gram matrix [K(X_i, X_j)]_{i,j} over a dataset.
 
-    The result is symmetrized as (G + G^T) / 2 so downstream symmetry
-    invariants hold exactly in floating point.  For a precomputed spec the
-    stored matrix is returned (symmetrized), and its dimension must equal the
+    The result is exactly symmetric, so downstream symmetry invariants hold
+    in floating point.  The linear and exponential Grams are symmetrized as
+    (G + G^T) / 2.  The Gaussian Gram needs no symmetrization: its squared
+    distances are summed coordinate by coordinate, in coordinate order, and
+    (x_ik - x_jk)^2 == (x_jk - x_ik)^2 bit for bit, so entries (i, j) and
+    (j, i) are equal.  It uses O(n^2) memory (two n x n arrays), never an
+    (n, n, d) array of differences.  For a precomputed spec the stored
+    matrix is returned (symmetrized), and its dimension must equal the
     number of observations.
     """
     x = as_dataset(data)
@@ -183,8 +191,7 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
         if spec.kind == LINEAR:
             g = x @ x.T
         elif spec.kind == GAUSSIAN:
-            sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-            g = np.exp(-sq / spec.bandwidth)
+            g = _gaussian_gram(x, spec.bandwidth)
         else:
             g = np.exp(x @ x.T / spec.scale)
     if not np.isfinite(g).all():
@@ -192,7 +199,32 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
                  "a larger scale avoids it" if spec.kind == EXPONENTIAL else "")
         raise ValueError(f"the {spec.kind} kernel Gram matrix has non-finite "
                          f"entries{cause}")
-    return GramMatrix(_symmetrize(g))
+    # the Gaussian Gram is exactly symmetric already (see _gaussian_gram)
+    return GramMatrix(g if spec.kind == GAUSSIAN else _symmetrize(g))
+
+
+def _gaussian_gram(x: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-||x_i - x_j||^2 / bandwidth) in two n x n arrays.
+
+    The squared distances are accumulated one coordinate at a time, in
+    coordinate order: sq = (s_0 + s_1) + ... + s_{d-1} with
+    s_k = (x_ik - x_jk)^2.  For d <= 7 this is the order numpy's
+    ``sum(axis=-1)`` uses, so the result is bit-identical to the broadcast
+    formula; for d >= 8 numpy sums in blocks and the two differ in the last
+    bits (about 1e-15 relative).  Entry (j, i) sums the same squares in the
+    same order as entry (i, j), because (a - b)^2 == (b - a)^2 exactly, so
+    the matrix is exactly symmetric and needs no (G + G^T) / 2.
+    """
+    cols = x.T
+    acc = np.subtract(cols[0, :, None], cols[0, None, :])
+    np.square(acc, out=acc)
+    scratch = np.empty_like(acc)
+    for col in cols[1:]:
+        np.subtract(col[:, None], col[None, :], out=scratch)
+        np.square(scratch, out=scratch)
+        acc += scratch
+    np.divide(acc, -bandwidth, out=acc)
+    return np.exp(acc, out=acc)
 
 
 def gram_from_matrix(matrix) -> GramMatrix:

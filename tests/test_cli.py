@@ -68,6 +68,11 @@ class TestParseArgs:
         with pytest.raises(UsageError, match="--c"):
             parse_args(["normal-mean", "--input", "d.csv", "--c", "2.5"])
 
+    @pytest.mark.parametrize("flag", ["--eval-point", "--target-coeffs"])
+    def test_float_list_checked_while_parsing(self, flag):
+        with pytest.raises(UsageError, match=flag):
+            parse_args(["mean-shrink", "--input", "d.csv", flag, "1,abc"])
+
 
 class TestNormalMeanCommand:
     def test_explicit_c_one(self, capsys, data_csv):
@@ -249,6 +254,28 @@ class TestReadDataset:
         path.write_text("1\n2\n3\n")
         assert read_dataset(str(path)).shape == (3, 1)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n  \nx,y\n\n1,2\n \t\n3,4\n\n")
+        assert np.array_equal(read_dataset(str(path)), [[1, 2], [3, 4]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"x,y\r\n1,2\r\n\r\n3,4\r\n")
+        assert np.array_equal(read_dataset(str(path)), [[1, 2], [3, 4]])
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_text("x,y\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_dataset(str(path))
+
+    def test_blank_file(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n \n")
+        with pytest.raises(ValueError, match="empty input"):
+            read_dataset(str(path))
+
 
 def test_out_path_writes_file(tmp_path, capsys, data_csv):
     out_file = tmp_path / "result.json"
@@ -313,4 +340,14 @@ class TestNonFiniteInput:
                                  "--eval-point", "nan,0,0,0,0")
         assert code == 1
         assert out == ""
-        assert "JSON" in err
+        assert "--eval-point" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_target_coeffs_rejected(self, capsys, bad):
+        # rejected while parsing, before any input file is read
+        code, out, err = run_cli(capsys, "mean-shrink", "--input", "missing.csv",
+                                 "--target", "dual", "--landmarks", "missing.csv",
+                                 "--target-coeffs", f"0.5,{bad}")
+        assert code == 1
+        assert out == ""
+        assert "--target-coeffs" in err and "finite" in err

@@ -108,6 +108,44 @@ class TestGram:
         with pytest.raises(ValueError, match="empty"):
             gram(KernelSpec.linear(), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_gaussian_matches_broadcast_formula_bitwise(self, d):
+        # below 8 terms numpy sums a reduction axis left to right, which is
+        # the coordinate order gram accumulates in
+        rng = np.random.default_rng(d)
+        for n, bandwidth in ((1, 1.0), (2, 0.3), (17, 2.5), (60, 7.0)):
+            x = rng.normal(scale=3.0, size=(n, d))
+            ref = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+                         / bandwidth)
+            ref = (ref + ref.T) / 2.0
+            g = gram(KernelSpec.gaussian(bandwidth), x).entries
+            assert np.array_equal(g, ref)
+            assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("d", [8, 20, 130])
+    def test_gaussian_matches_cdist(self, d):
+        from scipy.spatial.distance import cdist
+
+        x = np.random.default_rng(d).normal(size=(90, d))
+        g = gram(KernelSpec.gaussian(float(d)), x).entries
+        ref = np.exp(-cdist(x, x, "sqeuclidean") / d)
+        assert np.abs(g - ref).max() <= 1e-13
+        assert np.array_equal(g, g.T)
+
+    def test_gaussian_memory_is_quadratic_not_cubic(self):
+        # an (n, n, d) difference array would take 20 n^2 doubles here
+        import tracemalloc
+
+        n, d = 400, 20
+        x = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            gram(KernelSpec.gaussian(float(d)), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
+
 
 class TestSpecValidation:
     def test_bad_bandwidth(self):
