@@ -21,9 +21,7 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     as_dataset,
-    eval_kernel,
     gram,
-    gram_from_matrix,
     kernel_function,
     load_gram_csv,
 )
@@ -51,7 +49,6 @@ from .covmat import (
     delta_degen_closed,
     delta_general_closed,
     dist_sq_identity,
-    moment_identity_check,
     shrink_cov_matrix,
     spectral_summaries,
 )
@@ -68,9 +65,7 @@ from .simulate import (
     RiskEstimate,
     gaussian_embed_norm_sq,
     gaussian_kernel_location_moment,
-    mc_alphas,
     mc_detail,
-    mc_errors,
     mc_risk,
     oracle_alpha,
     rate_slope,
@@ -115,18 +110,13 @@ __all__ = [
     "dimension_threshold",
     "dist_sq_identity",
     "dual_norm_sq",
-    "eval_kernel",
     "evaluate_mean",
     "gaussian_embed_norm_sq",
     "gaussian_kernel_location_moment",
     "gram",
-    "gram_from_matrix",
     "kernel_function",
-    "moment_identity_check",
     "load_gram_csv",
-    "mc_alphas",
     "mc_detail",
-    "mc_errors",
     "mc_risk",
     "mean_overlap_products",
     "mu_check",

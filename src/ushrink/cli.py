@@ -286,7 +286,7 @@ def _run_mean_shrink(config: RunConfig) -> dict:
     if config.kernel == PRECOMPUTED:
         g = load_gram_csv(config.input_path if config.input_path != "-"
                           else sys.stdin)
-        data = None
+        data = spec = None
         element, report = shrink_mean(g)
     else:
         data = read_dataset(config.input_path)
@@ -312,8 +312,7 @@ def _run_mean_shrink(config: RunConfig) -> dict:
     if config.eval_point is not None:
         point = _parse_float_list(config.eval_point, "--eval-point")
         out["eval_point"] = point.tolist()
-        out["eval_value"] = evaluate_mean(element, _kernel_spec(config),
-                                          data, point)
+        out["eval_value"] = evaluate_mean(element, spec, data, point)
     return out
 
 
@@ -334,8 +333,7 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     if config.subcommand == "normal-mean":
         data = read_dataset(config.input_path)
-        n = data.shape[0] if data.ndim == 2 else len(data)
-        c = config.c if config.c is not None else default_c(n)
+        c = config.c if config.c is not None else default_c(data.shape[0])
         result = mu_check_c(data, c)
         return 0, _dump_json(result.to_dict())
 

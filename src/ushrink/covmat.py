@@ -1,16 +1,19 @@
-"""Closed-form covariance-matrix shrinkage toward a scaled identity.
+"""Covariance-matrix shrinkage toward a scaled identity.
 
-For data in R^d under the linear kernel, the covariance-operator machinery
-collapses to explicit polynomials in three spectral summaries of the sample:
-the centered fourth-power sum, the trace of the squared sample covariance,
-and its squared trace.  This module evaluates those closed forms, checks the
-moment identities they rest on, and assembles the shrunk matrix
-(1 - alpha) C_hat + alpha tau I, where C_hat is the unbiased sample
-covariance.
+A covariance matrix is the covariance operator of the linear kernel, so its
+risk estimates are those of ``shrinkage.shrink_covop`` and
+``shrink_covop_degen``.  Under the linear kernel the three centered-Gram
+sums they need come from the data in O(n d^2), without an n x n matrix:
+sum_i dc_i = n Tr[Sigma_hat], sum_i dc_i^2 = sum_i ||X_i - Xbar||^4 and
+||Gc||_F^2 = n^2 Tr[Sigma_hat^2].  This module computes those sums, the
+distance to the target tau I, the moment identities behind them, and the
+shrunk matrix (1 - alpha) C_hat + alpha tau I, where C_hat is the unbiased
+sample covariance.
 
 Conventions: Sigma_hat uses divisor n; the bias correction enters through
 C_hat = n/(n-1) Sigma_hat.  The target scale tau defaults to 1 (identity
-target) and generalizes the identity-target algebra verbatim.
+target) and generalizes the identity-target algebra verbatim.  Data whose
+Sigma_hat or sums overflow float64 raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
 from .kernels import as_dataset
-from .shrinkage import DEGENERATE, GENERAL, ShrinkageReport, alpha_from
+from .shrinkage import (
+    DEGENERATE,
+    GENERAL,
+    ShrinkageReport,
+    _check_covop_n,
+    _covop_report,
+)
 
 _VARIANTS = (GENERAL, DEGENERATE)
 
@@ -69,20 +78,32 @@ def _sigma_hat(xc: np.ndarray) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
+def _moments(x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """Sigma_hat, Tr[Sigma_hat], Tr[Sigma_hat^2] and sum_i ||X_i - Xbar||^4.
+
+    ``x`` is a dataset already validated by ``as_dataset``.  Raises
+    ``ValueError`` when a sum overflows float64; Tr[Sigma_hat^2] is the
+    squared Frobenius norm of Sigma_hat, so this covers Sigma_hat too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = _centered(x)
+        s = _sigma_hat(xc)
+        sq_norms = np.sum(xc * xc, axis=1)
+        sums = (float(np.trace(s)), float(np.trace(s @ s)),
+                float(np.sum(sq_norms * sq_norms)))
+    if not all(map(math.isfinite, sums)):
+        raise ValueError(
+            "the sample covariance overflows float64: Tr[Sigma_hat], "
+            "Tr[Sigma_hat^2] and sum ||X_i - Xbar||^4 are "
+            f"{sums[0]:g}, {sums[1]:g} and {sums[2]:g}; rescale the data"
+        )
+    return (s, *sums)
+
+
 def spectral_summaries(data) -> SpectralSummaries:
     """The three scalar summaries driving all closed forms here."""
-    xc = _centered(as_dataset(data))
-    return _summaries(xc, _sigma_hat(xc))
-
-
-def _summaries(xc: np.ndarray, s: np.ndarray) -> SpectralSummaries:
-    """Summaries from the centered data and its Sigma_hat."""
-    sq_norms = np.sum(xc * xc, axis=1)
-    return SpectralSummaries(
-        sum_fourth=float(np.sum(sq_norms * sq_norms)),
-        tr_s2=float(np.trace(s @ s)),
-        tr_sq=float(np.trace(s)) ** 2,
-    )
+    _, tr, tr_s2, sum_fourth = _moments(as_dataset(data))
+    return SpectralSummaries(sum_fourth=sum_fourth, tr_s2=tr_s2, tr_sq=tr * tr)
 
 
 def moment_identity_check(data) -> list[tuple[float, float]]:
@@ -136,13 +157,20 @@ def moment_identity_check(data) -> list[tuple[float, float]]:
     return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
 
 
-def _closed_form_n(x: np.ndarray) -> int:
-    n = x.shape[0]
-    if n < 4:
-        raise InsufficientSampleError(
-            f"closed forms require n >= 4, got {n} (coefficient denominators vanish)"
-        )
-    return n
+def _linear_covop(x: np.ndarray, variant: str,
+                  tau: float | None = None) -> tuple[np.ndarray, ShrinkageReport]:
+    """Sigma_hat and the covariance-operator report under the linear kernel.
+
+    ``x`` is a dataset already validated by ``as_dataset``.  The report's
+    distance is to tau I, or to zero (the estimate's squared norm) when
+    ``tau`` is None.
+    """
+    n, d = x.shape
+    _check_covop_n(n)
+    sigma, tr, tr_s2, sum_fourth = _moments(x)
+    dist_sq = None if tau is None else _dist_sq(n, d, tr, tr_s2, tau)
+    return sigma, _covop_report(variant, n, n * tr, sum_fourth, n * n * tr_s2,
+                                dist_sq)
 
 
 def delta_general_closed(data) -> float:
@@ -151,17 +179,10 @@ def delta_general_closed(data) -> float:
         sum_fourth / ((n-2)(n-3))
       - n(n+1) / ((n-1)^2 (n-3)) * tr_s2
       - n / ((n-1)(n-2)(n-3)) * tr_sq
+
+    It is evaluated as ``shrink_covop`` of the linear Gram, from its sums.
     """
-    x = as_dataset(data)
-    return _delta_general(_closed_form_n(x), spectral_summaries(x))
-
-
-def _delta_general(n: int, s: SpectralSummaries) -> float:
-    return (
-        s.sum_fourth / ((n - 2) * (n - 3))
-        - n * (n + 1) / ((n - 1) ** 2 * (n - 3)) * s.tr_s2
-        - n / ((n - 1) * (n - 2) * (n - 3)) * s.tr_sq
-    )
+    return _linear_covop(as_dataset(data), GENERAL)[1].delta_hat
 
 
 def delta_degen_closed(data) -> float:
@@ -170,23 +191,11 @@ def delta_degen_closed(data) -> float:
         n(n^2 - 3n + 4) / (2 C(n,2) P(n,4)) * sum_fourth
       - 2n^2 (n - 2)   / (C(n,2) P(n,4))   * tr_s2
       + n^2 (n^2 - 5n + 4) / (2 C(n,2) P(n,4)) * tr_sq
+
+    It is evaluated as ``shrink_covop_degen`` of the linear Gram, from its
+    sums.
     """
-    x = as_dataset(data)
-    return _delta_degen(_closed_form_n(x), spectral_summaries(x))
-
-
-def _delta_degen(n: int, s: SpectralSummaries) -> float:
-    c2p4 = math.comb(n, 2) * math.perm(n, 4)
-    return (
-        n * (n * n - 3 * n + 4) / (2 * c2p4) * s.sum_fourth
-        - 2 * n * n * (n - 2) / c2p4 * s.tr_s2
-        + n * n * (n * n - 5 * n + 4) / (2 * c2p4) * s.tr_sq
-    )
-
-
-def _check_tau(tau: float) -> None:
-    if not 0 <= tau < math.inf:
-        raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
+    return _linear_covop(as_dataset(data), DEGENERATE)[1].delta_hat
 
 
 def dist_sq_identity(data, tau: float = 1.0) -> float:
@@ -196,14 +205,15 @@ def dist_sq_identity(data, tau: float = 1.0) -> float:
 
     tau = 1 is the identity target; tau = 0 reduces to ||C_hat||_F^2.
     """
-    _check_tau(tau)
     x = as_dataset(data)
     n, d = x.shape
-    s = _sigma_hat(_centered(x))
-    return _dist_sq(n, d, float(np.trace(s)), float(np.trace(s @ s)), tau)
+    _, tr, tr_s2, _ = _moments(x)
+    return _dist_sq(n, d, tr, tr_s2, tau)
 
 
 def _dist_sq(n: int, d: int, tr: float, tr_s2: float, tau: float) -> float:
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
     return (
         n * n / (n - 1) ** 2 * tr_s2
         - 2 * n * tau / (n - 1) * tr
@@ -221,7 +231,8 @@ def shrink_cov_matrix(
     ``variant`` selects the general or the degenerate risk estimate; the
     shrunk matrix is (1 - alpha) C_hat + alpha tau I with alpha the clamped
     plug-in coefficient.  The data are validated, centered and reduced to
-    Sigma_hat once, and every closed form is evaluated from those.
+    Sigma_hat once, and the report comes from the covariance-operator
+    formula of ``shrinkage`` on the linear-kernel sums.
     """
     if variant not in _VARIANTS:
         raise ParameterError(
@@ -229,20 +240,8 @@ def shrink_cov_matrix(
         )
     x = as_dataset(data)
     n, d = x.shape
-    if n < 4:
-        raise InsufficientSampleError(
-            f"covariance shrinkage requires n >= 4, got {n}"
-        )
-    _check_tau(tau)
-    xc = _centered(x)
-    sigma = _sigma_hat(xc)
-    summaries = _summaries(xc, sigma)
-    delta = (_delta_general if variant == GENERAL else _delta_degen)(n, summaries)
-    dist_sq = _dist_sq(n, d, float(np.trace(sigma)), summaries.tr_s2, tau)
-    raw, alpha = alpha_from(delta, dist_sq)
+    sigma, report = _linear_covop(x, variant, tau)
     c_hat = n / (n - 1) * sigma
-    shrunk = (1.0 - alpha) * c_hat + alpha * tau * np.eye(d)
-    report = ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
-                             alpha_raw=raw, alpha=alpha, variant=variant)
+    shrunk = (1.0 - report.alpha) * c_hat + report.alpha * tau * np.eye(d)
     return CovShrinkResult(sigma_hat=sigma, c_hat=c_hat, shrunk=shrunk,
                            report=report)

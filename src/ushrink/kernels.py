@@ -127,41 +127,37 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate K(x, y) for a single pair of points.
+def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Bind ``spec`` into a callable that evaluates K(x, y) for one pair.
 
     Raises
     ------
     UnsupportedOperationError
         If ``spec`` is precomputed (there is nothing to evaluate at new points).
-    ValueError
-        If ``x`` and ``y`` have different dimensions.
+
+    The callable raises ``ValueError`` if ``x`` and ``y`` have different
+    dimensions.
     """
     if spec.kind == PRECOMPUTED:
         raise UnsupportedOperationError(
             "a precomputed kernel cannot be evaluated at new points"
         )
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.shape != yv.shape:
-        raise ValueError(
-            f"points have mismatched dimensions {xv.shape[0]} and {yv.shape[0]}"
-        )
-    if spec.kind == LINEAR:
-        return float(np.dot(xv, yv))
-    if spec.kind == GAUSSIAN:
-        diff = xv - yv
-        return float(np.exp(-np.dot(diff, diff) / spec.bandwidth))
-    return float(np.exp(np.dot(xv, yv) / spec.scale))
 
+    def k(x, y) -> float:
+        xv = np.asarray(x, dtype=float).ravel()
+        yv = np.asarray(y, dtype=float).ravel()
+        if xv.shape != yv.shape:
+            raise ValueError(
+                f"points have mismatched dimensions {xv.shape[0]} and {yv.shape[0]}"
+            )
+        if spec.kind == LINEAR:
+            return float(np.dot(xv, yv))
+        if spec.kind == GAUSSIAN:
+            diff = xv - yv
+            return float(np.exp(-np.dot(diff, diff) / spec.bandwidth))
+        return float(np.exp(np.dot(xv, yv) / spec.scale))
 
-def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Bind ``spec`` into a two-argument kernel callable."""
-    if spec.kind == PRECOMPUTED:
-        raise UnsupportedOperationError(
-            "a precomputed kernel cannot be evaluated at new points"
-        )
-    return lambda x, y: eval_kernel(spec, x, y)
+    return k
 
 
 def gram(spec: KernelSpec, data) -> GramMatrix:
@@ -227,16 +223,10 @@ def _gaussian_gram(x: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(acc, out=acc)
 
 
-def gram_from_matrix(matrix) -> GramMatrix:
-    """Wrap an externally computed kernel matrix, validating symmetry."""
-    spec = KernelSpec.precomputed(matrix)
-    return GramMatrix(_symmetrize(spec.matrix))
-
-
 def load_gram_csv(path) -> GramMatrix:
     """Load a precomputed Gram matrix from CSV (square numeric, no header)."""
     m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return gram_from_matrix(m)
+    return GramMatrix(_symmetrize(KernelSpec.precomputed(m).matrix))
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:

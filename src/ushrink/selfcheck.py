@@ -63,20 +63,19 @@ def _datasets(rng, sizes, dims):
             yield rng.uniform(-2.0, 2.0, size=(n, d))
 
 
+def _suite(name: str, pairs, tol: float) -> SuiteResult:
+    """Tally (a, b) pairs: a pair passes when their relative error is <= tol."""
+    errs = [_rel(a, b) for a, b in pairs]
+    passed = sum(err <= tol for err in errs)
+    return SuiteResult(name, passed, len(errs) - passed, max([0.0, *errs]))
+
+
 def check_moment_identities(seed: int = 0) -> SuiteResult:
     """Double/triple/quadruple sums vs spectral-summary polynomials."""
     rng = np.random.default_rng(seed)
-    passed = failed = 0
-    worst = 0.0
-    for data in _datasets(rng, range(2, 9), (1, 2, 3)):
-        for lhs, rhs in covmat.moment_identity_check(data):
-            err = _rel(lhs, rhs)
-            worst = max(worst, err)
-            if err <= IDENTITY_TOL:
-                passed += 1
-            else:
-                failed += 1
-    return SuiteResult("moment-identities", passed, failed, worst)
+    pairs = (pair for data in _datasets(rng, range(2, 9), (1, 2, 3))
+             for pair in covmat.moment_identity_check(data))
+    return _suite("moment-identities", pairs, IDENTITY_TOL)
 
 
 def check_closed_forms(seed: int = 1) -> SuiteResult:
@@ -84,23 +83,15 @@ def check_closed_forms(seed: int = 1) -> SuiteResult:
     rng = np.random.default_rng(seed)
     linear = kernel_function(KernelSpec.linear())
     overlaps, disjoint = covop_overlap_products(linear)
-    passed = failed = 0
-    worst = 0.0
-    for data in _datasets(rng, (4, 5, 6), (1, 3)):
-        pairs = [
-            (covmat.delta_general_closed(data),
-             delta_general(overlaps, disjoint, data, 2)),
-            (covmat.delta_degen_closed(data),
-             delta_degen(overlaps[1], disjoint, data, 2)),
-        ]
-        for a, b in pairs:
-            err = _rel(a, b)
-            worst = max(worst, err)
-            if err <= CLOSED_FORM_TOL:
-                passed += 1
-            else:
-                failed += 1
-    return SuiteResult("closed-forms-vs-enumeration", passed, failed, worst)
+
+    def pairs():
+        for data in _datasets(rng, (4, 5, 6), (1, 3)):
+            yield (covmat.delta_general_closed(data),
+                   delta_general(overlaps, disjoint, data, 2))
+            yield (covmat.delta_degen_closed(data),
+                   delta_degen(overlaps[1], disjoint, data, 2))
+
+    return _suite("closed-forms-vs-enumeration", pairs(), CLOSED_FORM_TOL)
 
 
 def check_gram_forms(seed: int = 2) -> SuiteResult:
@@ -108,31 +99,23 @@ def check_gram_forms(seed: int = 2) -> SuiteResult:
     rng = np.random.default_rng(seed)
     specs = (KernelSpec.linear(), KernelSpec.gaussian(1.0),
              KernelSpec.exponential(1.0))
-    passed = failed = 0
-    worst = 0.0
-    for data in _datasets(rng, (4, 5, 6), (2,)):
-        for spec in specs:
-            fn = kernel_function(spec)
-            g = gram(spec, data)
-            mean_overlaps, mean_disjoint = mean_overlap_products(fn)
-            cov_overlaps, cov_disjoint = covop_overlap_products(fn)
-            _, mean_report = shrink_mean(g)
-            pairs = [
-                (mean_report.delta_hat,
-                 delta_general(mean_overlaps, mean_disjoint, data, 1)),
-                (shrink_covop(g).delta_hat,
-                 delta_general(cov_overlaps, cov_disjoint, data, 2)),
-                (shrink_covop_degen(g).delta_hat,
-                 delta_degen(cov_overlaps[1], cov_disjoint, data, 2)),
-            ]
-            for a, b in pairs:
-                err = _rel(a, b)
-                worst = max(worst, err)
-                if err <= GRAM_TOL:
-                    passed += 1
-                else:
-                    failed += 1
-    return SuiteResult("gram-forms-vs-enumeration", passed, failed, worst)
+
+    def pairs():
+        for data in _datasets(rng, (4, 5, 6), (2,)):
+            for spec in specs:
+                fn = kernel_function(spec)
+                g = gram(spec, data)
+                mean_overlaps, mean_disjoint = mean_overlap_products(fn)
+                cov_overlaps, cov_disjoint = covop_overlap_products(fn)
+                _, mean_report = shrink_mean(g)
+                yield (mean_report.delta_hat,
+                       delta_general(mean_overlaps, mean_disjoint, data, 1))
+                yield (shrink_covop(g).delta_hat,
+                       delta_general(cov_overlaps, cov_disjoint, data, 2))
+                yield (shrink_covop_degen(g).delta_hat,
+                       delta_degen(cov_overlaps[1], cov_disjoint, data, 2))
+
+    return _suite("gram-forms-vs-enumeration", pairs(), GRAM_TOL)
 
 
 def run_checks(seed: int = 0) -> list[SuiteResult]:

@@ -322,79 +322,105 @@ def shrink_mean(
     return element, report
 
 
-def _centered_gram_sums(g: np.ndarray) -> tuple[float, float, float, float]:
-    """Sums of squared four-point kernel differences over index tuples.
+def _check_covop_n(n: int) -> None:
+    if n < 4:
+        raise InsufficientSampleError(
+            f"covariance-operator risk needs n >= 4 observations, got {n}"
+        )
 
-    Returns (pair, triple, quadruple, unrestricted) where
 
-    * pair         = sum_{i != j}           [G_ii - 2 G_ij + G_jj]^2
-    * triple       = sum_{i != j != l}      [G_ii - G_il - G_ij + G_jl]^2
-    * quadruple    = sum over four distinct [G_il - G_im - G_jl + G_jm]^2
-    * unrestricted = same summand over i != j, l != m only.
+def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
+                  frob_sq: float, dist_sq: float | None = None) -> ShrinkageReport:
+    """Covariance-operator report from three sums of the double-centered Gram.
 
-    Every summand is invariant under adding row plus column offsets to G, so
-    the Gram matrix is double-centered first; this keeps the O(n^2) moment
-    identities below well conditioned, since after centering all row sums
-    vanish and the aggregates live on the scale of the differences
-    themselves.
+    The inputs are sums of Gc, the double-centered Gram matrix, and of its
+    diagonal dc: ``sum_dc`` = sum_i dc_i, ``sum_dc_sq`` = sum_i dc_i^2 and
+    ``frob_sq`` = ||Gc||_F^2.  The unbiased risk estimate weights the pair,
+    triple and quadruple sums of squared four-point kernel differences
+
+      pair      = sum_{i != j}       [G_ii - 2 G_ij + G_jj]^2
+      triple    = sum_{i != j != l}  [G_ii - G_il - G_ij + G_jl]^2
+      quadruple = sum, four distinct [G_il - G_im - G_jl + G_jm]^2
+
+    by (2n-4) / (4 C(n,2) P(n,3)), 1 / (4 C(n,2) P(n,2)) and
+    -(2n-3) / (4 C(n,2) P(n,4)); the degenerate variant keeps the pair and
+    quadruple terms with weights 1 / (4 C(n,2) P(n,2)) and
+    -1 / (4 C(n,2) P(n,4)).  The summands are invariant under adding row
+    plus column offsets to G, and the rows of Gc sum to zero, so
+    pair = 2n sum_dc_sq + 2 sum_dc^2 + 4 frob_sq,
+    triple = n^2 sum_dc_sq + 3n frob_sq - pair and
+    quadruple = 4n^2 frob_sq - 4 (triple + pair) + 2 pair; both estimates
+    expand to the polynomials evaluated below.  ``dist_sq`` defaults to the
+    squared norm of the estimate (the zero target), frob_sq / (n-1)^2.
+
+    Under the linear kernel dc_i = ||X_i - Xbar||^2 and Gc = Xc Xc^T, so the
+    sums are n Tr[Sigma_hat], sum_i ||X_i - Xbar||^4 and n^2 Tr[Sigma_hat^2]:
+    the covariance matrix is the covariance operator of the linear kernel.
+    The caller checks n >= 4 (``_check_covop_n``).  Raises ``ValueError``
+    when the result overflows float64.
     """
-    n = g.shape[0]
-    row_mean = g.mean(axis=1, keepdims=True)
-    gc = g - row_mean - row_mean.T + g.mean()
-    diag = np.diagonal(gc).copy()
-    q = float((gc * gc).sum())
-    t2 = float((diag * diag).sum())
-    m = diag[:, None] + diag[None, :] - 2.0 * gc
-    pair = float((m * m).sum())
-    triple_full = n * n * t2 + 3.0 * n * q
-    triple = triple_full - pair
-    unrestricted = 4.0 * n * n * q
-    quadruple = unrestricted - 4.0 * triple_full + 2.0 * pair
-    return pair, triple, quadruple, unrestricted
+    if variant == GENERAL:
+        delta = (
+            sum_dc_sq / ((n - 2) * (n - 3))
+            - (n + 1) / (n * (n - 1) ** 2 * (n - 3)) * frob_sq
+            - sum_dc / (n * (n - 1) * (n - 2) * (n - 3)) * sum_dc
+        )
+    else:
+        c2p4 = math.comb(n, 2) * math.perm(n, 4)
+        delta = (
+            n * (n * n - 3 * n + 4) / (2 * c2p4) * sum_dc_sq
+            - 2 * (n - 2) / c2p4 * frob_sq
+            + (n * n - 5 * n + 4) / (2 * c2p4) * sum_dc * sum_dc
+        )
+    if dist_sq is None:
+        dist_sq = frob_sq / (n - 1) ** 2
+    if not (math.isfinite(delta) and math.isfinite(dist_sq)):
+        raise ValueError(
+            "covariance risk overflows float64: the centered Gram sums "
+            f"({sum_dc:g}, {sum_dc_sq:g}, {frob_sq:g}) give delta_hat={delta:g}, "
+            f"dist_sq={dist_sq:g}; rescale the data"
+        )
+    dist_sq = _snap(dist_sq)
+    raw, alpha = alpha_from(delta, dist_sq)
+    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
+                           alpha_raw=raw, alpha=alpha, variant=variant)
+
+
+def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
+    """n, sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of a Gram matrix.
+
+    Gc is the double-centered Gram matrix and dc its diagonal.  Centering
+    keeps ``_covop_report``'s polynomials well conditioned: the sums live on
+    the scale of the kernel differences themselves.
+    Gc is built and then squared in place, so the peak is one n x n array
+    beside the input.
+    """
+    g = _entries(gram)
+    _check_covop_n(g.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_mean = g.mean(axis=1, keepdims=True)
+        gc = g - row_mean
+        gc -= row_mean.T
+        gc += g.mean()
+        diag = np.diagonal(gc).copy()
+        sum_dc_sq = float((diag * diag).sum())
+        frob_sq = float(np.square(gc, out=gc).sum())
+    return g.shape[0], float(diag.sum()), sum_dc_sq, frob_sq
 
 
 def shrink_covop(gram) -> ShrinkageReport:
     """Shrinkage report for the empirical covariance operator, zero target.
 
-    Assembles the unbiased risk estimate from the pair, triple and quadruple
-    sums of squared kernel differences with coefficients
-    (2n-4) / (4 C(n,2) P(n,3)), 1 / (4 C(n,2) P(n,2)) and
-    -(2n-3) / (4 C(n,2) P(n,4)); the squared norm of the estimate uses the
-    unrestricted sum over i != j, l != m.
+    The unbiased risk estimate combines the pair, triple and quadruple sums
+    of squared kernel differences (see ``_covop_report``); the squared norm
+    of the estimate uses the unrestricted sum over i != j, l != m.
     """
-    g = _entries(gram)
-    n = g.shape[0]
-    if n < 4:
-        raise InsufficientSampleError(f"need at least 4 observations, got {n}")
-    pair, triple, quadruple, unrestricted = _centered_gram_sums(g)
-    c2 = math.comb(n, 2)
-    delta = (
-        (2 * n - 4) * triple / (4 * c2 * math.perm(n, 3))
-        + pair / (4 * c2 * math.perm(n, 2))
-        - (2 * n - 3) * quadruple / (4 * c2 * math.perm(n, 4))
-    )
-    dist_sq = _snap(unrestricted / (4 * math.perm(n, 2) ** 2))
-    raw, alpha = alpha_from(delta, dist_sq)
-    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
-                           alpha_raw=raw, alpha=alpha, variant=GENERAL)
+    return _covop_report(GENERAL, *_centered_gram_sums(gram))
 
 
 def shrink_covop_degen(gram) -> ShrinkageReport:
     """Degenerate-variant report for the covariance operator, zero target."""
-    g = _entries(gram)
-    n = g.shape[0]
-    if n < 4:
-        raise InsufficientSampleError(f"need at least 4 observations, got {n}")
-    pair, _, quadruple, unrestricted = _centered_gram_sums(g)
-    c2 = math.comb(n, 2)
-    delta = (
-        pair / (4 * c2 * math.perm(n, 2))
-        - quadruple / (4 * c2 * math.perm(n, 4))
-    )
-    dist_sq = _snap(unrestricted / (4 * math.perm(n, 2) ** 2))
-    raw, alpha = alpha_from(delta, dist_sq)
-    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
-                           alpha_raw=raw, alpha=alpha, variant=DEGENERATE)
+    return _covop_report(DEGENERATE, *_centered_gram_sums(gram))
 
 
 # ---------------------------------------------------------------------------

@@ -445,20 +445,6 @@ def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     return errs, alphas
 
 
-def mc_errors(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
-              seed: int) -> np.ndarray:
-    """Per-replication squared errors; replication r is seeded with seed + r."""
-    return mc_detail(est, dist, n, reps, seed)[0]
-
-
-def mc_alphas(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
-              seed: int) -> np.ndarray:
-    """Per-replication shrinkage coefficients for estimators that have one."""
-    if est.kind in (SAMPLE_MEAN, COV_MAT_PLAIN):
-        raise CapabilityError(f"{est.kind} has no shrinkage coefficient")
-    return mc_detail(est, dist, n, reps, seed)[1]
-
-
 _FSUM_CHUNK = 1024
 
 
@@ -502,7 +488,7 @@ def mc_risk(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     rejected rather than reported.
     """
     _check_min_reps(reps)
-    errs = mc_errors(est, dist, n, reps, seed)
+    errs = mc_detail(est, dist, n, reps, seed)[0]
     return summarize_errors(errs, reps, seed)
 
 
@@ -595,7 +581,7 @@ def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
                seed: int) -> tuple[list[dict], list[np.ndarray]]:
     """Risk rows of estimators on shared datasets, with their per-replication errors."""
     _check_min_reps(reps)
-    errs = [mc_errors(est, dist, n, reps, seed) for est in ests]
+    errs = [mc_detail(est, dist, n, reps, seed)[0] for est in ests]
     rows = [_risk_row(est, dist, n, summarize_errors(e, reps, seed))
             for est, e in zip(ests, errs)]
     return rows, errs

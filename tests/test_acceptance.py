@@ -21,7 +21,6 @@ from ushrink import (
     delta_general_closed,
     gram,
     kernel_function,
-    moment_identity_check,
     mc_risk,
     mean_overlap_products,
     oracle_alpha,
@@ -32,7 +31,8 @@ from ushrink import (
     shrink_covop_degen,
     shrink_mean,
 )
-from ushrink.simulate import mc_detail, mc_errors, summarize_errors
+from ushrink.covmat import moment_identity_check
+from ushrink.simulate import mc_detail, summarize_errors
 
 LINEAR = KernelSpec.linear()
 ALL_SPECS = (LINEAR, KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0))
@@ -151,8 +151,8 @@ def test_criterion_5_improvement_d10(criterion):
     start = time.time()
     dist = DistSpec.spherical_gaussian(e1(10), 1.0)
     reps, seed = 10**5, 510_000
-    errs_shrunk = mc_errors(EstimatorSpec.mu_check(), dist, 5, reps, seed)
-    errs_plain = mc_errors(EstimatorSpec.sample_mean(), dist, 5, reps, seed)
+    errs_shrunk = mc_detail(EstimatorSpec.mu_check(), dist, 5, reps, seed)[0]
+    errs_plain = mc_detail(EstimatorSpec.sample_mean(), dist, 5, reps, seed)[0]
     plain = summarize_errors(errs_plain, reps, seed)
     shrunk = summarize_errors(errs_shrunk, reps, seed)
     diff = summarize_errors(errs_plain - errs_shrunk, reps, seed)
@@ -175,8 +175,8 @@ def test_criterion_6_damped_improvement_d3(criterion):
     dist = DistSpec.spherical_gaussian(e1(3, scale=2.0), 1.0)
     n, reps, seed = 10, 10**6, 610_000
     c = (2 * n - 2) / (3 * n - 1)
-    errs_damped = mc_errors(EstimatorSpec.mu_check_c(c), dist, n, reps, seed)
-    errs_plain = mc_errors(EstimatorSpec.sample_mean(), dist, n, reps, seed)
+    errs_damped = mc_detail(EstimatorSpec.mu_check_c(c), dist, n, reps, seed)[0]
+    errs_plain = mc_detail(EstimatorSpec.sample_mean(), dist, n, reps, seed)[0]
     plain = summarize_errors(errs_plain, reps, seed)
     damped = summarize_errors(errs_damped, reps, seed)
     diff = summarize_errors(errs_plain - errs_damped, reps, seed)

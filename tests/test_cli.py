@@ -328,6 +328,20 @@ class TestNonFiniteInput:
         assert code == 0
         assert math.isfinite(json.loads(out)["report"]["delta_hat"])
 
+    @pytest.mark.parametrize("scale", ["e160", "e80"])
+    def test_covariance_overflow(self, capsys, tmp_path, scale):
+        # at 1e160 Sigma_hat itself overflows; at 1e80 Sigma_hat is finite
+        # but Tr[Sigma_hat]^2 and Tr[Sigma_hat^2] overflow
+        rows = "1{s},2{s}\n-1{s},3{s}\n2{s},-1{s}\n0,1\n5{h},5{h}\n"
+        exponent = int(scale[1:])
+        path = tmp_path / "big.csv"
+        path.write_text(rows.format(s=scale, h=f"e{exponent - 1}"))
+        code, out, err = run_cli(capsys, "cov-shrink", "--input", str(path),
+                                 "--output", "csv")
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err
+
     def test_non_finite_tau_rejected(self, capsys, cov_csv):
         code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,
                                  "--tau", "nan", "--output", "csv")

@@ -12,11 +12,11 @@ from ushrink import (
     delta_general_closed,
     dist_sq_identity,
     gram,
-    moment_identity_check,
     shrink_cov_matrix,
     shrink_covop,
     spectral_summaries,
 )
+from ushrink.covmat import moment_identity_check
 
 PAIR = np.array([[1.0, 0.0], [-1.0, 0.0]])
 

@@ -217,6 +217,32 @@ class TestShrinkCovop:
         with pytest.raises(InsufficientSampleError):
             shrink_covop(gram(LINEAR, np.ones((3, 2))))
 
+    @pytest.mark.parametrize("fn", [shrink_covop, shrink_covop_degen],
+                             ids=lambda f: f.__name__)
+    def test_overflow_raises(self, fn):
+        # finite entries near 1e200 whose squares overflow float64
+        g = gram(LINEAR, 1e100 * random_data(np.random.default_rng(17), 6))
+        with pytest.raises(ValueError, match="overflow"):
+            fn(g)
+
+    @pytest.mark.parametrize("fn", [shrink_covop, shrink_covop_degen],
+                             ids=lambda f: f.__name__)
+    def test_memory_below_three_gram_copies(self, fn):
+        # the centered Gram, squared in place, is the one n x n temporary;
+        # an n x n matrix of pairwise differences on top of it would take 3
+        import tracemalloc
+
+        n = 400
+        g = gram(KernelSpec.gaussian(20.0),
+                 np.random.default_rng(0).normal(size=(n, 20)))
+        tracemalloc.start()
+        try:
+            fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
 
 class TestEvaluateMean:
     def test_centered_pair(self):

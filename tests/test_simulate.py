@@ -13,8 +13,6 @@ from ushrink import (
     ParameterError,
     gaussian_embed_norm_sq,
     gaussian_kernel_location_moment,
-    mc_alphas,
-    mc_errors,
     mc_risk,
     oracle_alpha,
     rate_slope,
@@ -166,15 +164,15 @@ class TestMcRisk:
 
     def test_linear_embed_equals_mu_check(self):
         dist = DistSpec.spherical_gaussian(e1(3), 1.0)
-        emb = mc_errors(EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
-                        dist, 10, 100, 3)
-        mc = mc_errors(EstimatorSpec.mu_check(), dist, 10, 100, 3)
+        emb = mc_detail(EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
+                        dist, 10, 100, 3)[0]
+        mc = mc_detail(EstimatorSpec.mu_check(), dist, 10, 100, 3)[0]
         assert np.array_equal(emb, mc)
 
     def test_paired_replications_share_data(self):
         # replication r is seeded with seed + r for every estimator
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        errs = mc_errors(EstimatorSpec.sample_mean(), dist, 6, 100, 40)
+        errs = mc_detail(EstimatorSpec.sample_mean(), dist, 6, 100, 40)[0]
 
         def err(r):
             diff = sample(dist, 6, 40 + r).mean(axis=0) - dist.mean
@@ -186,13 +184,8 @@ class TestMcRisk:
 class TestMcAlphas:
     def test_values_in_unit_interval(self):
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        alphas = mc_alphas(EstimatorSpec.mu_check(), dist, 10, 200, 8)
+        alphas = mc_detail(EstimatorSpec.mu_check(), dist, 10, 200, 8)[1]
         assert np.all((alphas >= 0) & (alphas <= 1))
-
-    def test_rejected_for_plain_estimators(self):
-        dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        with pytest.raises(CapabilityError):
-            mc_alphas(EstimatorSpec.sample_mean(), dist, 10, 100, 0)
 
     def test_detail_is_one_pass(self):
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
@@ -346,7 +339,7 @@ class TestBatchedReplication:
 
     def test_per_replication_estimators_see_block_rows(self):
         dist = DistSpec.spherical_gaussian(np.zeros(2), 1.0)
-        errs = mc_errors(EstimatorSpec.cov_mat_plain(), dist, 5, 100, 60)
+        errs = mc_detail(EstimatorSpec.cov_mat_plain(), dist, 5, 100, 60)[0]
         for r in (0, 57, 99):
             xc = sample(dist, 5, 60 + r)
             xc = xc - xc.mean(axis=0)
@@ -356,7 +349,7 @@ class TestBatchedReplication:
     def test_single_observation_rejected(self):
         dist = DISTS["spherical"]
         with pytest.raises(InsufficientSampleError):
-            mc_errors(EstimatorSpec.mu_check(), dist, 1, 100, 0)
+            mc_detail(EstimatorSpec.mu_check(), dist, 1, 100, 0)
 
     def test_experiment_reps_floor(self):
         with pytest.raises(ParameterError, match="reps"):
