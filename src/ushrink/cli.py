@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from .kernels import (
     LINEAR,
     PRECOMPUTED,
     KernelSpec,
+    _kernel_block,
     gram,
-    kernel_function,
     load_gram_csv,
 )
 from .covmat import shrink_cov_matrix
@@ -57,26 +56,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    kernel: str = LINEAR
-    bandwidth: float = 1.0
-    scale: float = 1.0
-    target: str = "zero"
-    landmarks_path: str | None = None
-    target_coeffs: str | None = None
-    eval_point: str | None = None
-    tau: float = 1.0
-    c: float | None = None
-    variant: str = "general"
-    experiment: str | None = None
-    seed: int = DEFAULT_SEED
-    reps: int | None = None
-    n_grid: str | None = None
-    output: str = "json"
-    out_path: str | None = None
+def _number_list(kind):
+    """An argparse ``type`` parsing a non-empty comma-separated list of ``kind``."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated {kind.__name__}s, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("received an empty list")
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+        return values
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -108,8 +101,10 @@ def build_parser() -> _Parser:
     p.add_argument("--landmarks", dest="landmarks_path", default=None,
                    help="CSV of landmark points for a dual target")
     p.add_argument("--target-coeffs", dest="target_coeffs", default=None,
+                   type=_number_list(float),
                    help="comma-separated landmark coefficients")
     p.add_argument("--eval-point", dest="eval_point", default=None,
+                   type=_number_list(float),
                    help="comma-separated point at which to evaluate the "
                    "shrunk embedding")
 
@@ -129,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--experiment", required=True, choices=experiment_names())
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--n-grid", dest="n_grid", default=None,
+    p.add_argument("--n-grid", dest="n_grid", default=None, type=_number_list(int),
                    help="comma-separated sample sizes (consistency only)")
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", dest="out_path", default=None)
@@ -141,14 +136,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     """Parse and semantically validate the command line."""
-    ns = build_parser().parse_args(argv)
-    config = RunConfig(subcommand=ns.subcommand)
-    for name in vars(config):
-        if hasattr(ns, name):
-            setattr(config, name, getattr(ns, name))
-
+    config = build_parser().parse_args(argv)
     if config.subcommand == "mean-shrink":
         if config.kernel == PRECOMPUTED and config.eval_point is not None:
             raise UsageError(
@@ -167,10 +157,6 @@ def parse_args(argv) -> RunConfig:
             )
         if config.output == "csv":
             raise UsageError("mean-shrink supports only --output json")
-        if config.eval_point is not None:
-            _parse_float_list(config.eval_point, "--eval-point")
-        if config.target_coeffs is not None:
-            _parse_float_list(config.target_coeffs, "--target-coeffs")
     if config.subcommand == "normal-mean":
         if config.c is not None and not 0.0 < config.c < 2.0:
             raise UsageError(f"--c must lie in (0, 2), got {config.c}")
@@ -179,33 +165,9 @@ def parse_args(argv) -> RunConfig:
     if config.subcommand == "simulate":
         if config.reps is not None and config.reps < MIN_REPS:
             raise UsageError(f"--reps must be at least {MIN_REPS}, got {config.reps}")
-        if config.n_grid is not None:
-            if config.experiment != "consistency":
-                raise UsageError("--n-grid applies only to the consistency experiment")
-            _parse_int_list(config.n_grid)
+        if config.n_grid is not None and config.experiment != "consistency":
+            raise UsageError("--n-grid applies only to the consistency experiment")
     return config
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise UsageError("empty integer list")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> np.ndarray:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} received an empty list")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"{flag} values must be finite, got {text!r}")
-    return np.array(values)
 
 
 def read_dataset(path: str) -> np.ndarray:
@@ -274,7 +236,7 @@ def _matrix_csv(matrix) -> str:
     ) + "\n"
 
 
-def _kernel_spec(config: RunConfig) -> KernelSpec:
+def _kernel_spec(config: argparse.Namespace) -> KernelSpec:
     if config.kernel == GAUSSIAN:
         return KernelSpec.gaussian(config.bandwidth)
     if config.kernel == EXPONENTIAL:
@@ -282,7 +244,7 @@ def _kernel_spec(config: RunConfig) -> KernelSpec:
     return KernelSpec.linear()
 
 
-def _run_mean_shrink(config: RunConfig) -> dict:
+def _run_mean_shrink(config: argparse.Namespace) -> dict:
     if config.kernel == PRECOMPUTED:
         g = load_gram_csv(config.input_path if config.input_path != "-"
                           else sys.stdin)
@@ -294,10 +256,8 @@ def _run_mean_shrink(config: RunConfig) -> dict:
         g = gram(spec, data)
         if config.target == "dual":
             landmarks = read_dataset(config.landmarks_path)
-            coeffs = _parse_float_list(config.target_coeffs, "--target-coeffs")
-            target = TargetSpec.dual(landmarks, coeffs)
-            fn = kernel_function(spec)
-            cross = np.array([[fn(x, z) for z in landmarks] for x in data])
+            target = TargetSpec.dual(landmarks, config.target_coeffs)
+            cross = _kernel_block(spec, data, landmarks)
             tg = gram(spec, landmarks).entries
             element, report = shrink_mean(g, target, cross, tg)
         else:
@@ -310,13 +270,12 @@ def _run_mean_shrink(config: RunConfig) -> dict:
         "target_weights": element.target_weights.tolist(),
     }
     if config.eval_point is not None:
-        point = _parse_float_list(config.eval_point, "--eval-point")
-        out["eval_point"] = point.tolist()
-        out["eval_value"] = evaluate_mean(element, spec, data, point)
+        out["eval_point"] = config.eval_point
+        out["eval_value"] = evaluate_mean(element, spec, data, config.eval_point)
     return out
 
 
-def run(config: RunConfig) -> tuple[int, str]:
+def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute a validated config; returns (exit code, serialized output)."""
     if config.subcommand == "mean-shrink":
         return 0, _dump_json(_run_mean_shrink(config))
@@ -342,7 +301,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             config.experiment,
             reps=config.reps,
             seed=config.seed,
-            n_grid=_parse_int_list(config.n_grid) if config.n_grid else None,
+            n_grid=config.n_grid,
         )
         if config.output == "csv":
             return 0, _simulate_csv(result)

@@ -183,40 +183,52 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
                 f"but the dataset has {n} observations"
             )
         return GramMatrix(_symmetrize(m))
+    g = _kernel_block(spec, x, x)
+    # the Gaussian Gram is exactly symmetric already (see _gaussian_gram)
+    return GramMatrix(g if spec.kind == GAUSSIAN else _symmetrize(g))
+
+
+def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """[K(x_i, z_j)]_{i,j} for two (n, d) and (m, d) datasets, unsymmetrized.
+
+    Raises ``ValueError`` if the dimensions differ or an entry overflows.
+    """
+    if x.shape[1] != z.shape[1]:
+        raise ValueError(
+            f"points have mismatched dimensions {x.shape[1]} and {z.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == LINEAR:
-            g = x @ x.T
+            g = x @ z.T
         elif spec.kind == GAUSSIAN:
-            g = _gaussian_gram(x, spec.bandwidth)
+            g = _gaussian_gram(x, z, spec.bandwidth)
         else:
-            g = np.exp(x @ x.T / spec.scale)
+            g = np.exp(x @ z.T / spec.scale)
     if not np.isfinite(g).all():
         cause = (f": exp(<x, y> / scale) overflows at scale={spec.scale:g}; "
                  "a larger scale avoids it" if spec.kind == EXPONENTIAL else "")
         raise ValueError(f"the {spec.kind} kernel Gram matrix has non-finite "
                          f"entries{cause}")
-    # the Gaussian Gram is exactly symmetric already (see _gaussian_gram)
-    return GramMatrix(g if spec.kind == GAUSSIAN else _symmetrize(g))
+    return g
 
 
-def _gaussian_gram(x: np.ndarray, bandwidth: float) -> np.ndarray:
-    """exp(-||x_i - x_j||^2 / bandwidth) in two n x n arrays.
+def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-||x_i - z_j||^2 / bandwidth) in two n x m arrays.
 
     The squared distances are accumulated one coordinate at a time, in
     coordinate order: sq = (s_0 + s_1) + ... + s_{d-1} with
-    s_k = (x_ik - x_jk)^2.  For d <= 7 this is the order numpy's
+    s_k = (x_ik - z_jk)^2.  For d <= 7 this is the order numpy's
     ``sum(axis=-1)`` uses, so the result is bit-identical to the broadcast
     formula; for d >= 8 numpy sums in blocks and the two differ in the last
-    bits (about 1e-15 relative).  Entry (j, i) sums the same squares in the
-    same order as entry (i, j), because (a - b)^2 == (b - a)^2 exactly, so
-    the matrix is exactly symmetric and needs no (G + G^T) / 2.
+    bits (about 1e-15 relative).  With z = x, entry (j, i) sums the same
+    squares in the same order as entry (i, j), because (a - b)^2 == (b - a)^2
+    exactly, so the Gram matrix is exactly symmetric and needs no
+    (G + G^T) / 2.
     """
-    cols = x.T
-    acc = np.subtract(cols[0, :, None], cols[0, None, :])
+    acc = np.subtract(x[:, 0, None], z[None, :, 0])
     np.square(acc, out=acc)
     scratch = np.empty_like(acc)
-    for col in cols[1:]:
-        np.subtract(col[:, None], col[None, :], out=scratch)
+    for k in range(1, x.shape[1]):
+        np.subtract(x[:, k, None], z[None, :, k], out=scratch)
         np.square(scratch, out=scratch)
         acc += scratch
     np.divide(acc, -bandwidth, out=acc)

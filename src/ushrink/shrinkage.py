@@ -19,7 +19,8 @@ where delta_hat estimates the risk E||C_hat - C||^2.  This module provides
 Risk estimators are unbiased and may come out negative on small samples, so
 the returned coefficient is the raw ratio clamped to [0, 1]; a vanishing
 denominator is resolved to alpha = 0 (no shrinkage).  Squared distances that
-round slightly negative (above -1e-9) are snapped to zero.
+round slightly negative (above -1e-9) are snapped to zero.  A risk estimate
+or squared distance that overflows float64 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -123,8 +124,22 @@ def clamped_alpha(delta_hat: np.ndarray, dist_sq: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.fmax(0.0, raw))
 
 
-def _snap(dist_sq: float) -> float:
-    return 0.0 if DIST_SQ_FLOOR < dist_sq < 0.0 else dist_sq
+def _report(variant: str, delta: float, dist_sq: float) -> ShrinkageReport:
+    """Report of a risk estimate and a squared distance to the target.
+
+    Snaps ``dist_sq`` in (DIST_SQ_FLOOR, 0) to 0 and forms the coefficient.
+    Raises ``ValueError`` when either input is not finite, which on finite
+    data means the computation overflowed float64.
+    """
+    if not (math.isfinite(delta) and math.isfinite(dist_sq)):
+        raise ValueError(
+            f"shrinkage risk overflows float64: delta_hat={delta:g}, "
+            f"dist_sq={dist_sq:g}; rescale the data")
+    if DIST_SQ_FLOOR < dist_sq < 0.0:
+        dist_sq = 0.0
+    raw, alpha = alpha_from(delta, dist_sq)
+    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
+                           alpha_raw=raw, alpha=alpha, variant=variant)
 
 
 def _entries(gram) -> np.ndarray:
@@ -310,15 +325,12 @@ def shrink_mean(
         dist_sq = mean_all - (2.0 / n) * cross_term + norm_target
         landmarks = target.landmarks
 
-    dist_sq = _snap(dist_sq)
-    raw, alpha = alpha_from(delta, dist_sq)
-    data_w = np.full(n, (1.0 - alpha) / n)
+    report = _report(GENERAL, delta, dist_sq)
+    data_w = np.full(n, (1.0 - report.alpha) / n)
     if target.kind == DUAL:
-        target_w = alpha * target.coefficients
+        target_w = report.alpha * target.coefficients
     element = DualMeanElement(data_weights=data_w, target_weights=target_w,
                               landmarks=landmarks)
-    report = ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
-                             alpha_raw=raw, alpha=alpha, variant=GENERAL)
     return element, report
 
 
@@ -374,16 +386,7 @@ def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
         )
     if dist_sq is None:
         dist_sq = frob_sq / (n - 1) ** 2
-    if not (math.isfinite(delta) and math.isfinite(dist_sq)):
-        raise ValueError(
-            "covariance risk overflows float64: the centered Gram sums "
-            f"({sum_dc:g}, {sum_dc_sq:g}, {frob_sq:g}) give delta_hat={delta:g}, "
-            f"dist_sq={dist_sq:g}; rescale the data"
-        )
-    dist_sq = _snap(dist_sq)
-    raw, alpha = alpha_from(delta, dist_sq)
-    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
-                           alpha_raw=raw, alpha=alpha, variant=variant)
+    return _report(variant, delta, dist_sq)
 
 
 def _centered_gram_sums(gram) -> tuple[int, float, float, float]:

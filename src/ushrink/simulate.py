@@ -21,6 +21,14 @@ row equals the one-dataset computation bit for bit.  Aggregation uses
 exact (Shewchuk) summation, so the reported risk does not depend on
 accumulation order.
 
+Dispatch
+--------
+``_DIST_MAPS`` gives each distribution kind its moments and its map from
+standard draws, looked up once when a ``DistSpec`` is built.  ``_ROUTES``
+gives each estimator kind its block function and its population moments,
+from which ``oracle_alpha`` forms the oracle coefficient; ``_route`` is the
+one place that knows which kernels and inputs a mean embedding supports.
+
 Risk metrics
 ------------
 Squared Euclidean distance for vector estimands, squared Frobenius distance
@@ -38,7 +46,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -64,6 +72,16 @@ COV_MAT_PLAIN = "cov_mat_plain"
 
 MIN_REPS = 100
 
+# distribution kind -> spec -> (mean, coordinate variances, scale, shift,
+# Generator method): X = shift + scale * Z for Z drawn by the method
+_DIST_MAPS = {
+    SPHERICAL_GAUSSIAN: lambda s: (s.mu, np.full(s.mu.shape, s.sigma**2),
+                                   s.sigma, s.mu, "standard_normal"),
+    DIAG_GAUSSIAN: lambda s: (s.mu, s.sigmas**2, s.sigmas, s.mu, "standard_normal"),
+    UNIFORM_BOX: lambda s: ((s.lo + s.hi) / 2.0, (s.hi - s.lo) ** 2 / 12.0,
+                            s.hi - s.lo, s.lo, "random"),
+}
+
 
 @dataclass(frozen=True)
 class DistSpec:
@@ -75,18 +93,37 @@ class DistSpec:
     sigmas: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
+    dim: int = field(init=False, repr=False, compare=False)
+    mean: np.ndarray = field(init=False, repr=False, compare=False)
+    covariance: np.ndarray = field(init=False, repr=False, compare=False)
+    trace_cov: float = field(init=False, repr=False, compare=False)
+    _scale: float | np.ndarray = field(init=False, repr=False, compare=False)
+    _shift: np.ndarray = field(init=False, repr=False, compare=False)
+    _draw: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _DIST_MAPS:
+            raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        mean, variances, scale, shift, draw = _DIST_MAPS[self.kind](self)
+        covariance = np.diag(variances)
+        covariance.setflags(write=False)  # one array, shared by every caller
+        derived = {"dim": mean.shape[0], "mean": mean, "covariance": covariance,
+                   "trace_cov": float(np.trace(covariance)),
+                   "_scale": scale, "_shift": shift, "_draw": draw}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def spherical_gaussian(cls, mu, sigma: float) -> "DistSpec":
-        mu = np.asarray(mu, dtype=float).ravel()
+        mu = np.array(mu, dtype=float).ravel()
         if not sigma > 0:
             raise ParameterError(f"sigma must be positive, got {sigma}")
         return cls(SPHERICAL_GAUSSIAN, mu=mu, sigma=float(sigma))
 
     @classmethod
     def diag_gaussian(cls, mu, sigmas) -> "DistSpec":
-        mu = np.asarray(mu, dtype=float).ravel()
-        sigmas = np.asarray(sigmas, dtype=float).ravel()
+        mu = np.array(mu, dtype=float).ravel()
+        sigmas = np.array(sigmas, dtype=float).ravel()
         if mu.shape != sigmas.shape:
             raise ParameterError("mu and sigmas must have the same dimension")
         if not np.all(sigmas > 0):
@@ -95,37 +132,13 @@ class DistSpec:
 
     @classmethod
     def uniform_box(cls, lo, hi) -> "DistSpec":
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
+        lo = np.array(lo, dtype=float).ravel()
+        hi = np.array(hi, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise ParameterError("lo and hi must have the same dimension")
         if not np.all(lo < hi):
             raise ParameterError("need lo < hi componentwise")
         return cls(UNIFORM_BOX, lo=lo, hi=hi)
-
-    @property
-    def dim(self) -> int:
-        if self.kind == UNIFORM_BOX:
-            return self.lo.shape[0]
-        return self.mu.shape[0]
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.kind == UNIFORM_BOX:
-            return (self.lo + self.hi) / 2.0
-        return self.mu
-
-    @property
-    def covariance(self) -> np.ndarray:
-        if self.kind == SPHERICAL_GAUSSIAN:
-            return self.sigma**2 * np.eye(self.dim)
-        if self.kind == DIAG_GAUSSIAN:
-            return np.diag(self.sigmas**2)
-        return np.diag((self.hi - self.lo) ** 2 / 12.0)
-
-    @property
-    def trace_cov(self) -> float:
-        return float(np.trace(self.covariance))
 
 
 @dataclass(frozen=True)
@@ -176,15 +189,17 @@ class EstimatorSpec:
         return cls(COV_MAT_PLAIN)
 
     def label(self) -> str:
-        if self.kind == MU_CHECK_C:
-            return f"mu_check_c({self.c:g})"
-        if self.kind == FIXED_ALPHA_MEAN:
-            return f"fixed_alpha_mean({self.alpha:g})"
-        if self.kind == MEAN_EMBED_SHRINK:
-            return f"mean_embed_shrink({self.kernel.kind})"
-        if self.kind == COV_MAT_SHRINK:
-            return f"cov_mat_shrink(tau={self.tau:g},{self.variant})"
-        return self.kind
+        return _LABELS.get(self.kind, self.kind).format_map(vars(self))
+
+
+# estimator kind -> label template over the spec's fields; other kinds are
+# labelled by their name
+_LABELS = {
+    MU_CHECK_C: "mu_check_c({c:g})",
+    FIXED_ALPHA_MEAN: "fixed_alpha_mean({alpha:g})",
+    MEAN_EMBED_SHRINK: "mean_embed_shrink({kernel.kind})",
+    COV_MAT_SHRINK: "cov_mat_shrink(tau={tau:g},{variant})",
+}
 
 
 @dataclass(frozen=True)
@@ -197,12 +212,7 @@ class RiskEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_sq_error": self.mean_sq_error,
-            "std_error": self.std_error,
-            "reps": self.reps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _WORD_MASK = 2**64 - 1
@@ -231,10 +241,7 @@ class _KeyedPhilox:
         self._key[0] = key & _WORD_MASK
         self._key[1] = key >> 64
         self._bitgen.state = self._fresh
-        if dist.kind == UNIFORM_BOX:
-            self._rng.random(out=out)
-        else:
-            self._rng.standard_normal(out=out)
+        getattr(self._rng, dist._draw)(out=out)
 
 
 _SHARED_LOCK = threading.Lock()
@@ -261,15 +268,8 @@ def _check_sample_args(n: int, seed: int, count: int = 1) -> int:
 
 def _standard_to(dist: DistSpec, z: np.ndarray) -> np.ndarray:
     """Map standard draws (coordinates on the last axis) onto dist, in place."""
-    if dist.kind == SPHERICAL_GAUSSIAN:
-        z *= dist.sigma
-        z += dist.mu
-    elif dist.kind == DIAG_GAUSSIAN:
-        z *= dist.sigmas
-        z += dist.mu
-    else:
-        z *= dist.hi - dist.lo
-        z += dist.lo
+    z *= dist._scale
+    z += dist._shift
     return z
 
 
@@ -365,10 +365,9 @@ def _cov_shrink_error(est, dist, data):
 def _gaussian_embed_error(est, dist, data):
     _, report = shrink_mean(gram(est.kernel, data))
     w = 1.0 - report.alpha
-    cross = gaussian_kernel_location_moment(
-        data, dist.mu, dist.sigma, est.kernel.bandwidth
-    )
-    norm_c = gaussian_embed_norm_sq(dist.dim, dist.sigma, est.kernel.bandwidth)
+    cross = gaussian_kernel_location_moment(data, dist.mu, dist.sigma,
+                                            est.kernel.bandwidth)
+    norm_c = _gaussian_embed_moments(est, dist)[1]
     err = w * w * report.dist_sq - 2.0 * w * float(cross.mean()) + norm_c
     return err, report.alpha
 
@@ -381,38 +380,53 @@ def _each(one):
     return batch
 
 
-# estimator kind -> (est, dist, block) -> (squared errors, coefficients)
-_BATCHED = {
-    SAMPLE_MEAN: _mean_errors,
-    FIXED_ALPHA_MEAN: _fixed_alpha_errors,
-    MU_CHECK: _shrunk_mean_errors,
-    MU_CHECK_C: _shrunk_mean_errors,
-    COV_MAT_PLAIN: _each(_cov_plain_error),
-    COV_MAT_SHRINK: _each(_cov_shrink_error),
+def _mean_moments(est, dist):
+    return dist.trace_cov, float(dist.mean @ dist.mean)
+
+
+def _gaussian_embed_moments(est, dist):
+    norm_c = gaussian_embed_norm_sq(dist.dim, dist.sigma, est.kernel.bandwidth)
+    return 1.0 - norm_c, norm_c
+
+
+# estimator kind -> (block function (est, dist, block) -> (squared errors,
+# coefficients), population moments (est, dist) -> (n * risk, squared norm of
+# the estimand) or None); the mean_embed_shrink entry is the Gaussian kernel
+_ROUTES = {
+    SAMPLE_MEAN: (_mean_errors, None),
+    FIXED_ALPHA_MEAN: (_fixed_alpha_errors, _mean_moments),
+    MU_CHECK: (_shrunk_mean_errors, _mean_moments),
+    MU_CHECK_C: (_shrunk_mean_errors, _mean_moments),
+    COV_MAT_PLAIN: (_each(_cov_plain_error), None),
+    COV_MAT_SHRINK: (_each(_cov_shrink_error), None),
+    MEAN_EMBED_SHRINK: (_each(_gaussian_embed_error), _gaussian_embed_moments),
 }
-_GAUSSIAN_EMBED = _each(_gaussian_embed_error)
 
 
-def _batched(est: EstimatorSpec, dist: DistSpec):
-    """The block function of est under dist; CapabilityError if there is none."""
-    if est.kind != MEAN_EMBED_SHRINK:
-        if est.kind not in _BATCHED:
-            raise CapabilityError(f"unknown estimator kind {est.kind!r}")
-        return _BATCHED[est.kind]
-    if est.target is not None and est.target.kind != ZERO:
-        raise CapabilityError("embedding risk is only implemented for the zero target")
-    if est.kernel.kind == LINEAR:
-        return _shrunk_mean_errors
-    if est.kernel.kind == GAUSSIAN:
-        if dist.kind != SPHERICAL_GAUSSIAN:
+def _route(est: EstimatorSpec, dist: DistSpec):
+    """The ``_ROUTES`` entry of est under dist; CapabilityError if there is none.
+
+    A mean embedding needs the zero target (``None`` counts as zero); under
+    the linear kernel it is the ``mu_check`` estimator, and under the
+    Gaussian kernel it needs spherical Gaussian inputs.
+    """
+    kind = est.kind
+    if kind == MEAN_EMBED_SHRINK:
+        if est.target is not None and est.target.kind != ZERO:
             raise CapabilityError(
-                "Gaussian-kernel embedding risk needs spherical Gaussian "
-                f"inputs, got {dist.kind}"
-            )
-        return _GAUSSIAN_EMBED
-    raise CapabilityError(
-        f"no closed-form embedding moments for the {est.kernel.kind} kernel"
-    )
+                "embedding risk is only implemented for the zero target")
+        if est.kernel.kind == LINEAR:
+            kind = MU_CHECK
+        elif est.kernel.kind != GAUSSIAN:
+            raise CapabilityError(
+                f"no closed-form embedding moments for the {est.kernel.kind} kernel")
+        elif dist.kind != SPHERICAL_GAUSSIAN:
+            raise CapabilityError("Gaussian-kernel embedding risk needs spherical "
+                                  f"Gaussian inputs, got {dist.kind}")
+    route = _ROUTES.get(kind)
+    if route is None:
+        raise CapabilityError(f"unknown estimator kind {kind!r}")
+    return route
 
 
 def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
@@ -427,7 +441,7 @@ def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     """
     if reps < 1:
         raise ParameterError(f"need reps >= 1, got {reps}")
-    batch = _batched(est, dist)
+    batch = _route(est, dist)[0]
     seed = _check_sample_args(n, seed, reps)
     per_block = max(1, BLOCK_VALUES // (n * dist.dim))
     buf = np.empty((min(per_block, reps), n, dist.dim))
@@ -506,29 +520,12 @@ def oracle_alpha(dist: DistSpec, est: EstimatorSpec, n: int) -> float:
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    linear_mean = est.kind in (MU_CHECK, MU_CHECK_C, FIXED_ALPHA_MEAN) or (
-        est.kind == MEAN_EMBED_SHRINK and est.kernel.kind == LINEAR
-    )
-    if linear_mean:
-        if (est.kind == MEAN_EMBED_SHRINK and est.target is not None
-                and est.target.kind != ZERO):
-            raise CapabilityError("oracle coefficient assumes the zero target")
-        delta = dist.trace_cov / n
-        mean = dist.mean
-        return alpha_from(delta, float(mean @ mean))[1]
-    if est.kind == MEAN_EMBED_SHRINK and est.kernel.kind == GAUSSIAN:
-        if est.target is not None and est.target.kind != ZERO:
-            raise CapabilityError("oracle coefficient assumes the zero target")
-        if dist.kind != SPHERICAL_GAUSSIAN:
-            raise CapabilityError(
-                "Gaussian-kernel oracle needs spherical Gaussian inputs"
-            )
-        norm_c = gaussian_embed_norm_sq(dist.dim, dist.sigma, est.kernel.bandwidth)
-        delta = (1.0 - norm_c) / n
-        return alpha_from(delta, norm_c)[1]
-    raise CapabilityError(
-        f"no analytic oracle for estimator {est.kind!r} under {dist.kind!r}"
-    )
+    moments = _route(est, dist)[1]
+    if moments is None:
+        raise CapabilityError(
+            f"no analytic oracle for estimator {est.kind!r} under {dist.kind!r}")
+    n_risk, norm_sq = moments(est, dist)
+    return alpha_from(n_risk / n, norm_sq)[1]
 
 
 def rate_slope(points) -> float:
@@ -553,11 +550,21 @@ def rate_slope(points) -> float:
 
 DEFAULT_SEED = 42
 
+# name -> (description, default reps)
 _EXPERIMENTS = {
-    "mean-improvement": "paired improvement of the shrunk mean, d=10, n=5",
-    "damped-improvement": "paired improvement of the damped shrunk mean at d=3, n=10",
-    "consistency": "risk decay of Gaussian-kernel embedding shrinkage over n",
-    "oracle": "fixed oracle-coefficient dominance, d=3, n=10",
+    "mean-improvement": ("paired improvement of the shrunk mean, d=10, n=5", 10**5),
+    "damped-improvement": (
+        "paired improvement of the damped shrunk mean at d=3, n=10", 10**6),
+    "consistency": ("risk decay of Gaussian-kernel embedding shrinkage over n", 10**4),
+    "oracle": ("fixed oracle-coefficient dominance, d=3, n=10", 10**5),
+}
+
+# paired experiments: the shrunk estimator against the sample mean on
+# N(mu_0 e_1, I_d) data; name -> (d, mu_0, n, n -> shrunk estimator)
+_PAIRED = {
+    "mean-improvement": (10, 1.0, 5, lambda n: EstimatorSpec.mu_check()),
+    "damped-improvement": (
+        3, 2.0, 10, lambda n: EstimatorSpec.mu_check_c(normalmean.default_c(n))),
 }
 
 
@@ -608,37 +615,24 @@ def run_experiment(
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {experiment_names()}"
         )
-    out: dict = {"experiment": name, "description": _EXPERIMENTS[name],
+    description, default_reps = _EXPERIMENTS[name]
+    reps = default_reps if reps is None else reps
+    out: dict = {"experiment": name, "description": description,
                  "seed": seed, "results": []}
 
-    if name == "mean-improvement":
-        reps = 10**5 if reps is None else reps
-        mu = np.zeros(10)
-        mu[0] = 1.0
+    if name in _PAIRED:
+        d, mu_0, n, shrunk_at = _PAIRED[name]
+        mu = np.zeros(d)
+        mu[0] = mu_0
         dist = DistSpec.spherical_gaussian(mu, 1.0)
-        plain, shrunk = EstimatorSpec.sample_mean(), EstimatorSpec.mu_check()
+        plain, shrunk = EstimatorSpec.sample_mean(), shrunk_at(n)
         out["results"], (errs_plain, errs_shrunk) = _risk_rows(
-            (plain, shrunk), dist, 5, reps, seed)
+            (plain, shrunk), dist, n, reps, seed)
         out["paired"] = _paired_summary(shrunk, plain, errs_shrunk, errs_plain,
                                         reps, seed)
         return out
 
-    if name == "damped-improvement":
-        reps = 10**6 if reps is None else reps
-        mu = np.zeros(3)
-        mu[0] = 2.0
-        dist = DistSpec.spherical_gaussian(mu, 1.0)
-        n = 10
-        plain = EstimatorSpec.sample_mean()
-        damped = EstimatorSpec.mu_check_c(normalmean.default_c(n))
-        out["results"], (errs_plain, errs_damped) = _risk_rows(
-            (plain, damped), dist, n, reps, seed)
-        out["paired"] = _paired_summary(damped, plain, errs_damped, errs_plain,
-                                        reps, seed)
-        return out
-
     if name == "consistency":
-        reps = 10**4 if reps is None else reps
         grid = [25, 50, 100, 200] if not n_grid else list(n_grid)
         dist = DistSpec.spherical_gaussian(np.array([1.0, 0.0]), 1.0)
         est = EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.0))
@@ -659,7 +653,6 @@ def run_experiment(
         return out
 
     # oracle dominance
-    reps = 10**5 if reps is None else reps
     dist = DistSpec.spherical_gaussian(np.array([1.0, 0.0, 0.0]), 1.0)
     n = 10
     a_star = oracle_alpha(dist, EstimatorSpec.mu_check(), n)

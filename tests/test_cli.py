@@ -188,6 +188,20 @@ class TestMeanShrinkCommand:
         assert len(payload["target_weights"]) == 2
 
 
+    def test_dual_target_dimension_mismatch(self, capsys, tmp_path):
+        data, landmarks = tmp_path / "data.csv", tmp_path / "landmarks.csv"
+        data.write_text("1,0\n-1,0\n0,1\n")
+        landmarks.write_text("0,0,0\n1,1,1\n")
+        code, out, err = run_cli(
+            capsys, "mean-shrink", "--input", str(data), "--kernel", "gaussian",
+            "--target", "dual", "--landmarks", str(landmarks),
+            "--target-coeffs", "0.5,0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert "mismatched dimensions 2 and 3" in err
+
+
 class TestSimulateCommand:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--experiment", "mean-improvement",
@@ -341,6 +355,16 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert "overflow" in err
+
+    def test_precomputed_gram_overflow(self, capsys, tmp_path):
+        # finite entries whose symmetrized sum overflows float64
+        path = tmp_path / "g.csv"
+        path.write_text("1e308,1e308,0\n1e308,1e308,0\n0,0,1\n")
+        code, out, err = run_cli(capsys, "mean-shrink", "--kernel", "precomputed",
+                                 "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err and "JSON" not in err
 
     def test_non_finite_tau_rejected(self, capsys, cov_csv):
         code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,

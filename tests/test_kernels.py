@@ -12,6 +12,7 @@ from ushrink import (
     kernel_function,
     load_gram_csv,
 )
+from ushrink.kernels import _kernel_block
 
 SPECS = [KernelSpec.linear(), KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
 
@@ -178,6 +179,32 @@ def test_load_gram_csv_roundtrip(tmp_path):
     np.savetxt(path, m, delimiter=",")
     g = load_gram_csv(path)
     assert np.allclose(g.entries, m, rtol=0, atol=0)
+
+
+class TestCrossBlock:
+    # the (data, landmarks) block of a dual target against one kernel call
+    # per pair
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_matches_pairwise(self, spec):
+        rng = np.random.default_rng(4)
+        x, z = rng.normal(size=(30, 5)), rng.normal(size=(7, 5))
+        k = kernel_function(spec)
+        pairwise = np.array([[k(a, b) for b in z] for a in x])
+        # a dot product near zero has only an absolute error bound
+        np.testing.assert_allclose(_kernel_block(spec, x, z), pairwise, rtol=1e-14,
+                                   atol=1e-14 * np.abs(pairwise).max())
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_gram_is_block_with_itself(self, spec):
+        x = np.random.default_rng(5).normal(size=(12, 9))
+        g = gram(spec, x).entries
+        block = _kernel_block(spec, x, x)
+        assert np.array_equal(g, block if spec.kind == "gaussian"
+                              else (block + block.T) / 2.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatched dimensions 2 and 3"):
+            _kernel_block(KernelSpec.gaussian(1.0), np.ones((4, 2)), np.ones((2, 3)))
 
 
 class TestNonFinite:

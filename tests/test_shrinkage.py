@@ -165,6 +165,13 @@ class TestShrinkMean:
         with pytest.raises(InsufficientSampleError):
             shrink_mean(gram(LINEAR, [[1.0, 2.0]]))
 
+    def test_overflow_raises(self):
+        # finite entries whose trace and total overflow float64; the risk
+        # comes out nan, which must not become alpha = 0
+        g = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            shrink_mean(g)
+
 
 class TestShrinkCovop:
     def test_identical_points(self):

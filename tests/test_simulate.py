@@ -11,6 +11,8 @@ from ushrink import (
     InsufficientSampleError,
     KernelSpec,
     ParameterError,
+    TargetSpec,
+    alpha_from,
     gaussian_embed_norm_sq,
     gaussian_kernel_location_moment,
     mc_risk,
@@ -20,6 +22,7 @@ from ushrink import (
     sample,
 )
 from ushrink import normalmean, simulate
+from ushrink.shrinkage import DEGENERATE
 from ushrink.simulate import mc_detail
 
 
@@ -354,3 +357,92 @@ class TestBatchedReplication:
     def test_experiment_reps_floor(self):
         with pytest.raises(ParameterError, match="reps"):
             run_experiment("mean-improvement", reps=99)
+
+
+class TestDispatchTable:
+    # the estimators of the simulator; with DISTS they span every route
+    ESTS = {
+        "sample_mean": EstimatorSpec.sample_mean(),
+        "mu_check": EstimatorSpec.mu_check(),
+        "mu_check_c(0.6)": EstimatorSpec.mu_check_c(0.6),
+        "fixed_alpha_mean(0.25)": EstimatorSpec.fixed_alpha_mean(0.25),
+        "linear_embed": EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
+        "gaussian_embed": EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.5)),
+        "exponential_embed": EstimatorSpec.mean_embed_shrink(
+            KernelSpec.exponential(1.0)),
+        "dual_linear_embed": EstimatorSpec.mean_embed_shrink(
+            KernelSpec.linear(), TargetSpec.dual([[0.0, 0.0, 0.0]], [1.0])),
+        "dual_gaussian_embed": EstimatorSpec.mean_embed_shrink(
+            KernelSpec.gaussian(1.0), TargetSpec.dual([[0.0, 0.0, 0.0]], [1.0])),
+        "cov_mat_plain": EstimatorSpec.cov_mat_plain(),
+        "cov_mat_shrink": EstimatorSpec.cov_mat_shrink(tau=0.5),
+    }
+    # (estimator, distribution) pairs without a Monte Carlo route
+    NO_MC = (
+        {("gaussian_embed", "diagonal"), ("gaussian_embed", "uniform")}
+        | {(name, dist) for name in ("exponential_embed", "dual_linear_embed",
+                                     "dual_gaussian_embed") for dist in DISTS}
+    )
+    # ... and pairs without an oracle coefficient
+    NO_ORACLE = NO_MC | {(name, dist)
+                         for name in ("sample_mean", "cov_mat_plain", "cov_mat_shrink")
+                         for dist in DISTS}
+
+    @pytest.mark.parametrize("est, label", [
+        (EstimatorSpec.sample_mean(), "sample_mean"),
+        (EstimatorSpec.mu_check(), "mu_check"),
+        (EstimatorSpec.mu_check_c(0.6), "mu_check_c(0.6)"),
+        (EstimatorSpec.fixed_alpha_mean(0.25), "fixed_alpha_mean(0.25)"),
+        (EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(2.0)),
+         "mean_embed_shrink(gaussian)"),
+        (EstimatorSpec.cov_mat_shrink(tau=0.5, variant=DEGENERATE),
+         "cov_mat_shrink(tau=0.5,degenerate)"),
+        (EstimatorSpec.cov_mat_plain(), "cov_mat_plain"),
+    ])
+    def test_labels(self, est, label):
+        assert est.label() == label
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_linear_mean_oracles_agree(self, name):
+        # one population risk trace(Cov)/n and one estimand ||mean||^2
+        dist = DISTS[name]
+        expected = alpha_from(dist.trace_cov / 10, float(dist.mean @ dist.mean))[1]
+        for key in ("mu_check", "mu_check_c(0.6)", "fixed_alpha_mean(0.25)",
+                    "linear_embed"):
+            assert oracle_alpha(dist, self.ESTS[key], 10) == expected
+
+    def test_capability_errors_exactly_where_unsupported(self):
+        no_mc, no_oracle = set(), set()
+        for name, est in self.ESTS.items():
+            for dist_name, dist in DISTS.items():
+                try:
+                    mc_detail(est, dist, 5, 3, 0)
+                except CapabilityError:
+                    no_mc.add((name, dist_name))
+                try:
+                    oracle_alpha(dist, est, 5)
+                except CapabilityError:
+                    no_oracle.add((name, dist_name))
+        assert no_mc == self.NO_MC
+        assert no_oracle == self.NO_ORACLE
+
+    def test_none_target_counts_as_zero(self):
+        dist = DISTS["spherical"]
+        for kernel in (KernelSpec.linear(), KernelSpec.gaussian(1.0)):
+            bare = EstimatorSpec(simulate.MEAN_EMBED_SHRINK, kernel=kernel)
+            zero = EstimatorSpec.mean_embed_shrink(kernel)
+            assert oracle_alpha(dist, bare, 7) == oracle_alpha(dist, zero, 7)
+            assert np.array_equal(mc_detail(bare, dist, 5, 20, 1)[0],
+                                  mc_detail(zero, dist, 5, 20, 1)[0])
+
+    def test_spec_owns_its_arrays(self):
+        # mean, covariance and the draw map are worked out once, so a spec
+        # must not share arrays that its caller may change afterwards
+        mu, lo, hi = np.array([1.0, 2.0]), np.zeros(2), np.ones(2)
+        specs = (DistSpec.spherical_gaussian(mu, 1.0),
+                 DistSpec.diag_gaussian(mu, np.ones(2)), DistSpec.uniform_box(lo, hi))
+        before = [(s.mean.copy(), sample(s, 3, 5)) for s in specs]
+        mu[0], lo[0], hi[0] = 9.0, -9.0, 9.0
+        for spec, (mean, draws) in zip(specs, before):
+            assert np.array_equal(spec.mean, mean)
+            assert np.array_equal(sample(spec, 3, 5), draws)
