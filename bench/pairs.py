@@ -1,14 +1,16 @@
-"""Paired benchmark runs of two checkouts, written to a BENCH_*.json file.
+r"""Paired benchmark runs of two checkouts, written to a BENCH_*.json file.
 
     python3 bench/pairs.py --before DIR --after DIR --workload NAME \
         --seeds 51-60 --out BENCH_name.json [--seconds 20]
 
-Runs ``perfbench/run.py`` (untraced) in each checkout once per seed,
-alternating which side runs first, and records every run's end-to-end
-metrics, the median and quartiles of each side, the number of pairs the
-``after`` side wins on each metric, and the machine.  Both checkouts must
-contain the same ``perfbench/`` and ``BENCHMARK.json``; run nothing else on
-the machine meanwhile.
+Runs ``perfbench/run.py`` in each checkout twice per seed, untraced and then
+traced, alternating which side runs first, and records every run's
+end-to-end metrics (from the untraced run) and per-layer metrics (from the
+traced run, ``layers`` in each pair), the median and quartiles of each side,
+the number of pairs the ``after`` side wins on each metric (``summary`` and
+``layer_summary``), and the machine.  Both checkouts must contain the same
+``perfbench/`` and ``BENCHMARK.json``; run nothing else on the machine
+meanwhile.
 """
 
 from __future__ import annotations
@@ -23,15 +25,33 @@ import sys
 from pathlib import Path
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def _summary(metrics: dict, runs: list[dict]) -> dict:
+    """Quartiles of each side and the ``after`` side's wins, per metric.
+
+    ``runs`` holds one {"before": {...}, "after": {...}} per pair."""
+    summary = {}
+    for name, better in metrics.items():
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (r["after"][name] - r["before"][name]) > 0 for r in runs)
+        summary[name] = {
+            "better": better,
+            "before": _quartiles([r["before"][name] for r in runs]),
+            "after": _quartiles([r["after"][name] for r in runs]),
+            "after_wins": wins,
+        }
+    return summary
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -70,30 +90,29 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.before / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layer_metrics = {m["name"]: m["better"] for m in spec["per_layer"]}
     pairs = []
     for i, seed in enumerate(_seeds(args.seeds)):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         pair = {"first": order[0]}
+        layers = {}
         for side in order:
-            pair[side] = _run(getattr(args, side), args.workload, seed, args.seconds)
+            checkout = getattr(args, side)
+            pair[side] = _run(checkout, args.workload, seed, args.seconds)
             print(f"seed {seed} {side}: " + ", ".join(
                 f"{name} {pair[side][name]:.6g}" for name in metrics), file=sys.stderr)
+            layers[side] = _run(checkout, args.workload, seed, args.seconds,
+                                trace=1)
+        pair["layers"] = layers
         pairs.append(pair)
 
-    summary = {}
-    for name, better in metrics.items():
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (pr["after"][name] - pr["before"][name]) > 0 for pr in pairs)
-        summary[name] = {
-            "better": better,
-            "before": _quartiles([pr["before"][name] for pr in pairs]),
-            "after": _quartiles([pr["after"][name] for pr in pairs]),
-            "after_wins": wins,
-        }
     report = {"workload": args.workload, "seconds": args.seconds,
               "command": "python3 perfbench/run.py --workload W --seed N "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "machine": _machine(), "pairs": pairs, "summary": summary}
+                         f"--seconds {args.seconds:g} --trace 0|1",
+              "machine": _machine(), "pairs": pairs,
+              "summary": _summary(metrics, pairs),
+              "layer_summary": _summary(layer_metrics,
+                                        [pr["layers"] for pr in pairs])}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

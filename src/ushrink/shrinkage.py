@@ -293,8 +293,10 @@ def shrink_mean(
     if target is None:
         target = TargetSpec.zero()
 
-    trace = float(np.trace(g))
-    total = float(g.sum())
+    # an overflow here comes out inf and is reported by _report
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.trace(g))
+        total = float(g.sum())
     diag_mean = trace / n
     off_mean = (total - trace) / (n * (n - 1))
     delta = (diag_mean - off_mean) / n

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,11 +361,15 @@ class TestNonFiniteInput:
         # finite entries whose symmetrized sum overflows float64
         path = tmp_path / "g.csv"
         path.write_text("1e308,1e308,0\n1e308,1e308,0\n0,0,1\n")
-        code, out, err = run_cli(capsys, "mean-shrink", "--kernel", "precomputed",
-                                 "--input", str(path))
+        with warnings.catch_warnings():
+            # a numpy RuntimeWarning would print on stderr before the error
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "mean-shrink", "--kernel",
+                                     "precomputed", "--input", str(path))
         assert code == 1
         assert out == ""
         assert "overflow" in err and "JSON" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_non_finite_tau_rejected(self, capsys, cov_csv):
         code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,

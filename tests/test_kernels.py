@@ -12,7 +12,13 @@ from ushrink import (
     kernel_function,
     load_gram_csv,
 )
-from ushrink.kernels import _kernel_block
+from ushrink.kernels import (
+    GAUSSIAN_PRODUCT_MAX_SPREAD,
+    GAUSSIAN_PRODUCT_MIN_DIM,
+    _gaussian_gram,
+    _gaussian_gram_product,
+    _kernel_block,
+)
 
 SPECS = [KernelSpec.linear(), KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
 
@@ -145,6 +151,92 @@ class TestGram:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n * 8
+
+
+class TestGaussianProductRoute:
+    # from GAUSSIAN_PRODUCT_MIN_DIM coordinates on, and for data within
+    # GAUSSIAN_PRODUCT_MAX_SPREAD bandwidths, the Gaussian Gram comes from one
+    # matrix product of the centered data; the coordinate sums of
+    # _gaussian_gram are its oracle.  Duplicate and near-duplicate rows put
+    # off-diagonal entries near 1, where the product's cancellation shows.
+
+    @staticmethod
+    def _with_close_rows(x, rng, scale):
+        return np.vstack([x, x, x + 1e-6 * scale * rng.normal(size=x.shape)])
+
+    @pytest.mark.parametrize("d", [8, 20, 130])
+    def test_matches_column_route(self, d):
+        rng = np.random.default_rng(d)
+        for shift in (0.0, 5.0, 1e3):
+            for scale in (0.01, 1.0, 30.0):
+                x = shift + scale * rng.normal(size=(50, d))
+                x = self._with_close_rows(x, rng, scale)
+                for bandwidth in (0.1, 1.0, 2.0 * d, 1e4):
+                    g = gram(KernelSpec.gaussian(bandwidth), x).entries
+                    ref = _gaussian_gram(x, x, bandwidth)
+                    assert np.abs(g - ref).max() <= 1e-13, (shift, scale, bandwidth)
+                    assert np.array_equal(g, g.T)
+                    assert np.array_equal(np.diagonal(g), np.ones(len(x)))
+
+    @pytest.mark.parametrize("d", [8, 20, 130])
+    def test_spread_cap(self, d):
+        # close points far from the center: just under the cap the product
+        # route runs and stays within the bound, just over it the coordinate
+        # sums run
+        assert GAUSSIAN_PRODUCT_MAX_SPREAD == 32.0
+        rng = np.random.default_rng(d + 1)
+        x = self._with_close_rows(1e3 + 30.0 * rng.normal(size=(50, d)), rng, 30.0)
+        xc = x - x.mean(axis=0)
+        spread = 2.0 * np.einsum("ij,ij->i", xc, xc).max()
+        under = spread / (0.99 * GAUSSIAN_PRODUCT_MAX_SPREAD)
+        g = gram(KernelSpec.gaussian(under), x).entries
+        ref = _gaussian_gram(x, x, under)
+        assert not np.array_equal(g, ref)
+        assert np.abs(g - ref).max() <= 1e-13
+        over = spread / (1.01 * GAUSSIAN_PRODUCT_MAX_SPREAD)
+        assert np.array_equal(gram(KernelSpec.gaussian(over), x).entries,
+                              _gaussian_gram(x, x, over))
+
+    def test_cross_block_matches_pairwise(self):
+        rng = np.random.default_rng(6)
+        x, z = 3.0 + rng.normal(size=(30, 9)), rng.normal(size=(7, 9))
+        spec = KernelSpec.gaussian(4.0)
+        k = kernel_function(spec)
+        pairwise = np.array([[k(a, b) for b in z] for a in x])
+        np.testing.assert_allclose(_kernel_block(spec, x, z), pairwise, rtol=1e-14,
+                                   atol=1e-14 * np.abs(pairwise).max())
+
+    def test_route_by_dimension(self):
+        assert GAUSSIAN_PRODUCT_MIN_DIM == 8
+        rng = np.random.default_rng(7)
+        below = 5.0 + rng.normal(size=(60, 7))
+        assert np.array_equal(_kernel_block(KernelSpec.gaussian(7.0), below, below),
+                              _gaussian_gram(below, below, 7.0))
+        at = 5.0 + rng.normal(size=(60, 8))
+        g = _kernel_block(KernelSpec.gaussian(8.0), at, at)
+        assert np.array_equal(g, _gaussian_gram_product(at, at, 8.0))
+        # the two routes differ in the last bits, so the first check is not vacuous
+        assert not np.array_equal(g, _gaussian_gram(at, at, 8.0))
+
+    def test_overflowing_norms_take_column_route(self):
+        # ||x||^2 overflows, and ||x||^2 + ||y||^2 - 2 <x, y> would be inf - inf;
+        # the coordinate sums give exp(-inf) = 0 off the diagonal
+        x = 1e200 * np.random.default_rng(8).normal(size=(5, 8))
+        g = gram(KernelSpec.gaussian(1.0), x).entries
+        assert np.array_equal(g, np.eye(5))
+
+    def test_memory_is_two_gram_arrays(self):
+        import tracemalloc
+
+        n, d = 400, 20
+        x = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            gram(KernelSpec.gaussian(float(d)), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
 
 
 class TestSpecValidation:

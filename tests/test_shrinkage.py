@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,8 +170,11 @@ class TestShrinkMean:
         # finite entries whose trace and total overflow float64; the risk
         # comes out nan, which must not become alpha = 0
         g = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="overflow"):
-            shrink_mean(g)
+        with warnings.catch_warnings():
+            # the clean error alone, no numpy RuntimeWarning before it
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflow"):
+                shrink_mean(g)
 
 
 class TestShrinkCovop:
