@@ -15,7 +15,6 @@ from .errors import (
     EstimationError,
     InsufficientSampleError,
     ParameterError,
-    UnsupportedOperationError,
 )
 from .kernels import (
     GramMatrix,
@@ -25,7 +24,7 @@ from .kernels import (
     kernel_function,
     load_gram_csv,
 )
-from .ustat import CombWeights, EvalFn, comb_weights, u_stat_perm, u_stat_sym
+from .ustat import EvalFn, comb_weights, u_stat_perm, u_stat_sym
 from .shrinkage import (
     DEGENERATE,
     GENERAL,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError",
-    "CombWeights",
     "ContractError",
     "CovShrinkResult",
     "DEGENERATE",
@@ -97,7 +95,6 @@ __all__ = [
     "ShrinkageReport",
     "SpectralSummaries",
     "TargetSpec",
-    "UnsupportedOperationError",
     "alpha_from",
     "as_dataset",
     "comb_weights",

@@ -34,7 +34,6 @@ from .kernels import (
     EXPONENTIAL,
     GAUSSIAN,
     LINEAR,
-    PRECOMPUTED,
     KernelSpec,
     _kernel_block,
     gram,
@@ -45,6 +44,10 @@ from .normalmean import default_c, mu_check_c
 from .selfcheck import run_checks
 from .shrinkage import DEGENERATE, GENERAL, TargetSpec, evaluate_mean, shrink_mean
 from .simulate import DEFAULT_SEED, MIN_REPS, experiment_names, run_experiment
+
+
+# --kernel value that reads the input as a Gram matrix (``load_gram_csv``)
+PRECOMPUTED = "precomputed"
 
 
 class UsageError(Exception):

@@ -17,10 +17,6 @@ class ParameterError(EstimationError, ValueError):
     """A parameter lies outside its admissible range."""
 
 
-class UnsupportedOperationError(EstimationError, TypeError):
-    """The operation is not defined for the given specification."""
-
-
 class CapabilityError(EstimationError, RuntimeError):
     """No analytic formula is available for the requested configuration."""
 

@@ -2,8 +2,8 @@
 
 Every estimator in this package consumes data only through pairwise kernel
 evaluations, so the n x n Gram matrix is the sufficient statistic for all
-downstream computations.  Three built-in kernel families are provided plus a
-precomputed variant for matrices produced elsewhere.
+downstream computations.  Three kernel families are provided; a Gram matrix
+computed elsewhere is loaded with ``load_gram_csv``.
 
 Parameterizations:
 
@@ -24,9 +24,9 @@ by up to a few eps times spread / bandwidth (measured: 2 eps per unit of
 that ratio at d = 20, 4.5 at d = 130, 8.5 at d = 1000), so by at most about
 6e-14 under the cap.  Its last bits can depend on the number of BLAS
 threads.
-Datasets and precomputed matrices must be finite, and a Gram matrix whose
+Datasets and loaded Gram matrices must be finite, and a Gram matrix whose
 entries overflow (the exponential kernel on large inputs) raises
-``ValueError`` rather than returning inf or nan.  Precomputed matrices are
+``ValueError`` rather than returning inf or nan.  Loaded matrices are
 validated for symmetry but *not* projected onto the positive semi-definite
 cone; supplying a PSD matrix is the caller's responsibility.
 """
@@ -38,14 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedOperationError
+from .errors import ParameterError
 
 LINEAR = "linear"
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
-PRECOMPUTED = "precomputed"
 
-_KINDS = (LINEAR, GAUSSIAN, EXPONENTIAL, PRECOMPUTED)
+_KINDS = (LINEAR, GAUSSIAN, EXPONENTIAL)
 
 # Maximum allowed relative asymmetry of a user-supplied Gram matrix.
 SYMMETRY_RTOL = 1e-9
@@ -98,7 +97,6 @@ class KernelSpec:
     kind: str
     bandwidth: float = 1.0
     scale: float = 1.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -107,22 +105,6 @@ class KernelSpec:
             raise ParameterError("gaussian kernel requires bandwidth > 0")
         if self.kind == EXPONENTIAL and not self.scale > 0:
             raise ParameterError("exponential kernel requires scale > 0")
-        if self.kind == PRECOMPUTED:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ParameterError(
-                    f"precomputed kernel matrix must be square, got shape {m.shape}"
-                )
-            if not np.isfinite(m).all():
-                raise ParameterError(
-                    "precomputed kernel matrix has non-finite entries (nan or inf)"
-                )
-            scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-            if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
-                raise ParameterError(
-                    "precomputed kernel matrix is not symmetric within tolerance"
-                )
-            object.__setattr__(self, "matrix", m)
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -135,10 +117,6 @@ class KernelSpec:
     @classmethod
     def exponential(cls, scale: float = 1.0) -> "KernelSpec":
         return cls(EXPONENTIAL, scale=float(scale))
-
-    @classmethod
-    def precomputed(cls, matrix) -> "KernelSpec":
-        return cls(PRECOMPUTED, matrix=np.asarray(matrix, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -155,18 +133,9 @@ class GramMatrix:
 def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], float]:
     """Bind ``spec`` into a callable that evaluates K(x, y) for one pair.
 
-    Raises
-    ------
-    UnsupportedOperationError
-        If ``spec`` is precomputed (there is nothing to evaluate at new points).
-
     The callable raises ``ValueError`` if ``x`` and ``y`` have different
     dimensions.
     """
-    if spec.kind == PRECOMPUTED:
-        raise UnsupportedOperationError(
-            "a precomputed kernel cannot be evaluated at new points"
-        )
 
     def k(x, y) -> float:
         xv = np.asarray(x, dtype=float).ravel()
@@ -196,20 +165,10 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     ``_gaussian_gram``), from there on, for data within
     ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths, they come from one symmetric
     matrix product (see ``_gaussian_gram_product``).  It uses O(n^2) memory
-    (two n x n arrays), never an (n, n, d) array of differences.  For a
-    precomputed spec the stored matrix is returned (symmetrized), and its
-    dimension must equal the number of observations.
+    (two n x n arrays), never an (n, n, d) array of differences.  A Gram
+    matrix computed elsewhere comes from ``load_gram_csv`` instead.
     """
     x = as_dataset(data)
-    n = x.shape[0]
-    if spec.kind == PRECOMPUTED:
-        m = spec.matrix
-        if m.shape[0] != n:
-            raise ValueError(
-                f"precomputed matrix is {m.shape[0]} x {m.shape[0]} "
-                f"but the dataset has {n} observations"
-            )
-        return GramMatrix(_symmetrize(m))
     g = _kernel_block(spec, x, x)
     # the Gaussian Gram is exactly symmetric already (see _kernel_block)
     return GramMatrix(g if spec.kind == GAUSSIAN else _symmetrize(g))
@@ -305,9 +264,27 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
 
 
 def load_gram_csv(path) -> GramMatrix:
-    """Load a precomputed Gram matrix from CSV (square numeric, no header)."""
+    """Load a precomputed Gram matrix from CSV (square numeric, no header).
+
+    ``path`` is a file name or an open text file.  Raises ``ParameterError``
+    unless the matrix is square, finite and symmetric within
+    ``SYMMETRY_RTOL`` of its largest entry (at least 1); the result is
+    symmetrized.
+    """
     m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return GramMatrix(_symmetrize(KernelSpec.precomputed(m).matrix))
+    if m.shape[0] != m.shape[1]:
+        raise ParameterError(
+            f"precomputed kernel matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParameterError(
+            "precomputed kernel matrix has non-finite entries (nan or inf)")
+    scale = max(1.0, float(np.abs(m).max()))
+    with np.errstate(over="ignore"):  # a difference that overflows is inf
+        asymmetry = float(np.abs(m - m.T).max())
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise ParameterError(
+            "precomputed kernel matrix is not symmetric within tolerance")
+    return GramMatrix(_symmetrize(m))
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:

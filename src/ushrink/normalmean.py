@@ -11,6 +11,7 @@ obtained by translating the data before estimation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,19 @@ def mu_check_c(data, c: float) -> NormalMeanResult:
     """Damped shrunk mean (1 - c * alpha) Xbar for c in (0, 2).
 
     All-zero data is the 0/0 corner: alpha resolves to 0 and the (zero)
-    sample mean is returned unshrunk.
+    sample mean is returned unshrunk.  Raises ``ValueError`` when S^2 or
+    ||Xbar||^2 overflows float64 (finite data near 1e154 and above).
     """
     if not 0.0 < c < 2.0:
         raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
-    xbar, s2, alpha, estimate = mu_check_c_batch(as_dataset(data)[None], c)
+    # an overflow comes out inf or nan and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar, s2, alpha, estimate = mu_check_c_batch(as_dataset(data)[None], c)
+        norm_sq = float(np.vecdot(xbar[0], xbar[0]))
+    if not (math.isfinite(s2[0]) and math.isfinite(norm_sq)):
+        raise ValueError(
+            f"normal-mean statistics overflow float64: s2={s2[0]:g}, "
+            f"||xbar||^2={norm_sq:g}; rescale the data")
     return NormalMeanResult(xbar=xbar[0], s2=float(s2[0]), alpha=float(alpha[0]),
                             c=c, estimate=estimate[0])
 

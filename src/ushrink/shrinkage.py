@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientSampleError, UnsupportedOperationError
-from .kernels import PRECOMPUTED, GramMatrix, KernelSpec, as_dataset, kernel_function
+from .errors import InsufficientSampleError
+from .kernels import GramMatrix, KernelSpec, as_dataset, kernel_function
 from .ustat import EvalFn, comb_weights, u_stat_perm
 
 GENERAL = "general"
@@ -40,9 +40,6 @@ DEGENERATE = "degenerate"
 
 # Cancellation slack: squared distances in (DIST_SQ_FLOOR, 0) become 0.
 DIST_SQ_FLOOR = -1e-9
-
-ZERO = "zero"
-DUAL = "dual"
 
 
 @dataclass(frozen=True)
@@ -67,15 +64,14 @@ class ShrinkageReport:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Shrinkage target: zero, or a dual expansion over landmark points."""
+    """Dual shrinkage target sum_j coefficients[j] K(., landmarks[j]).
 
-    kind: str
-    landmarks: np.ndarray | None = None
-    coefficients: np.ndarray | None = None
+    The zero target has no spec: functions taking a target read ``None`` as
+    zero.
+    """
 
-    @classmethod
-    def zero(cls) -> "TargetSpec":
-        return cls(ZERO)
+    landmarks: np.ndarray
+    coefficients: np.ndarray
 
     @classmethod
     def dual(cls, landmarks, coefficients) -> "TargetSpec":
@@ -85,7 +81,7 @@ class TargetSpec:
             raise ValueError(
                 f"{pts.shape[0]} landmarks but {coef.shape[0]} coefficients"
             )
-        return cls(DUAL, landmarks=pts, coefficients=coef)
+        return cls(landmarks=pts, coefficients=coef)
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,6 @@ def delta_general(
     disjoint_product: EvalFn,
     data,
     k: int,
-    *,
-    limit: int | None = None,
 ) -> float:
     """Unbiased risk estimate of an order-k U-statistic via overlap products.
 
@@ -186,11 +180,10 @@ def delta_general(
         raise ValueError(
             f"disjoint product must have order {2 * k}, got {disjoint_product.order}"
         )
-    w = comb_weights(n, k).w
-    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k, limit=limit)
+    w = comb_weights(n, k)
+    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k)
     return math.fsum(
-        w[i] * (u_stat_perm(overlap_products[i - 1], data, 2 * k - i, limit=limit)
-                - u_disjoint)
+        w[i] * (u_stat_perm(overlap_products[i - 1], data, 2 * k - i) - u_disjoint)
         for i in range(1, k + 1)
     )
 
@@ -200,8 +193,6 @@ def delta_degen(
     disjoint_product: EvalFn,
     data,
     k: int,
-    *,
-    limit: int | None = None,
 ) -> float:
     """Two-term risk estimate assuming a completely degenerate centered kernel.
 
@@ -219,8 +210,8 @@ def delta_degen(
         raise ValueError(
             f"disjoint product must have order {2 * k}, got {disjoint_product.order}"
         )
-    u_self = u_stat_perm(self_product, data, k, limit=limit)
-    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k, limit=limit)
+    u_self = u_stat_perm(self_product, data, k)
+    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k)
     return (u_self - u_disjoint) / math.comb(n, k)
 
 
@@ -276,7 +267,7 @@ def shrink_mean(
     gram
         GramMatrix (or raw n x n array) of the data.
     target
-        ``TargetSpec.zero()`` (default) or a dual expansion.  For a dual
+        ``None`` for the zero target (default) or a dual expansion.  For a dual
         target, ``cross_gram`` (n x L, entries K(X_i, Z_j)) and
         ``target_gram`` (L x L, entries K(Z_j, Z_j')) must be supplied.
 
@@ -290,8 +281,6 @@ def shrink_mean(
     n = g.shape[0]
     if n < 2:
         raise InsufficientSampleError(f"need at least 2 observations, got {n}")
-    if target is None:
-        target = TargetSpec.zero()
 
     # an overflow here comes out inf and is reported by _report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,10 +291,8 @@ def shrink_mean(
     delta = (diag_mean - off_mean) / n
 
     mean_all = total / (n * n)
-    if target.kind == ZERO:
+    if target is None:
         dist_sq = mean_all
-        target_w = np.zeros(0)
-        landmarks = None
     else:
         if cross_gram is None or target_gram is None:
             raise ValueError(
@@ -325,14 +312,14 @@ def shrink_mean(
         cross_term = float(cross.sum(axis=0) @ coef)
         norm_target = float(coef @ tg @ coef)
         dist_sq = mean_all - (2.0 / n) * cross_term + norm_target
-        landmarks = target.landmarks
 
     report = _report(GENERAL, delta, dist_sq)
     data_w = np.full(n, (1.0 - report.alpha) / n)
-    if target.kind == DUAL:
-        target_w = report.alpha * target.coefficients
-    element = DualMeanElement(data_weights=data_w, target_weights=target_w,
-                              landmarks=landmarks)
+    if target is None:
+        return DualMeanElement(data_weights=data_w, target_weights=np.zeros(0)), report
+    element = DualMeanElement(data_weights=data_w,
+                              target_weights=report.alpha * target.coefficients,
+                              landmarks=target.landmarks)
     return element, report
 
 
@@ -435,13 +422,10 @@ def shrink_covop_degen(gram) -> ShrinkageReport:
 def evaluate_mean(element: DualMeanElement, spec: KernelSpec, data, x) -> float:
     """Evaluate the shrunk mean embedding at a point via reproduction.
 
-    Computes sum_i w_i K(x, X_i) + sum_j t_j K(x, Z_j); requires a kernel
-    that can be evaluated at new points (not precomputed).
+    Computes sum_i w_i K(x, X_i) + sum_j t_j K(x, Z_j) with the kernel of
+    ``spec``; an element shrunk from a loaded Gram matrix has no kernel to
+    evaluate at new points.
     """
-    if spec.kind == PRECOMPUTED:
-        raise UnsupportedOperationError(
-            "pointwise evaluation needs a kernel, not a precomputed matrix"
-        )
     k = kernel_function(spec)
     pts = as_dataset(data)
     if pts.shape[0] != element.data_weights.shape[0]:

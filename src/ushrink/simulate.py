@@ -54,7 +54,7 @@ import numpy as np
 from . import covmat, normalmean
 from .errors import CapabilityError, ParameterError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gram
-from .shrinkage import GENERAL, TargetSpec, ZERO, alpha_from, shrink_mean
+from .shrinkage import GENERAL, alpha_from, shrink_mean
 
 RNG_ALGORITHM = "Philox4x64 (numpy.random.Philox), keyed directly by the seed"
 
@@ -149,7 +149,6 @@ class EstimatorSpec:
     c: float | None = None
     alpha: float | None = None
     kernel: KernelSpec | None = None
-    target: TargetSpec | None = None
     tau: float | None = None
     variant: str | None = None
 
@@ -174,11 +173,8 @@ class EstimatorSpec:
         return cls(FIXED_ALPHA_MEAN, alpha=float(alpha))
 
     @classmethod
-    def mean_embed_shrink(
-        cls, kernel: KernelSpec, target: TargetSpec | None = None
-    ) -> "EstimatorSpec":
-        return cls(MEAN_EMBED_SHRINK, kernel=kernel,
-                   target=target or TargetSpec.zero())
+    def mean_embed_shrink(cls, kernel: KernelSpec) -> "EstimatorSpec":
+        return cls(MEAN_EMBED_SHRINK, kernel=kernel)
 
     @classmethod
     def cov_mat_shrink(cls, tau: float = 1.0, variant: str = GENERAL) -> "EstimatorSpec":
@@ -406,15 +402,12 @@ _ROUTES = {
 def _route(est: EstimatorSpec, dist: DistSpec):
     """The ``_ROUTES`` entry of est under dist; CapabilityError if there is none.
 
-    A mean embedding needs the zero target (``None`` counts as zero); under
-    the linear kernel it is the ``mu_check`` estimator, and under the
-    Gaussian kernel it needs spherical Gaussian inputs.
+    A mean embedding (always toward the zero target) is the ``mu_check``
+    estimator under the linear kernel; under the Gaussian kernel it needs
+    spherical Gaussian inputs, and other kernels have no route.
     """
     kind = est.kind
     if kind == MEAN_EMBED_SHRINK:
-        if est.target is not None and est.target.kind != ZERO:
-            raise CapabilityError(
-                "embedding risk is only implemented for the zero target")
         if est.kernel.kind == LINEAR:
             kind = MU_CHECK
         elif est.kernel.kind != GAUSSIAN:

@@ -2,8 +2,10 @@
 
 These are desk-scale oracle paths: they average a caller-supplied evaluation
 function over all index tuples, in fixed lexicographic order, with exact
-(Shewchuk) summation.  Factorial growth is held in check by a configurable
-tuple budget (``USHRINK_ENUM_LIMIT`` environment variable, default 10^7).
+(Shewchuk) summation.  Factorial growth is held in check by one tuple
+budget, the ``USHRINK_ENUM_LIMIT`` environment variable (default 10^7), read
+at each call: an enumeration longer than the budget raises
+``EnumerationLimitError`` before it starts.
 Closed-form estimators elsewhere in the package avoid enumeration entirely.
 """
 
@@ -55,19 +57,11 @@ class EvalFn:
     symmetric: bool = False
 
 
-@dataclass(frozen=True)
-class CombWeights:
-    """Hypergeometric weights w[i] = C(k,i) C(n-k,k-i) / C(n,k), i = 0..k."""
-
-    n: int
-    k: int
-    w: tuple[float, ...]
-
-
-def comb_weights(n: int, k: int) -> CombWeights:
+def comb_weights(n: int, k: int) -> tuple[float, ...]:
     """Weights of the variance decomposition of an order-k U-statistic.
 
-    They sum to one (Vandermonde's identity).  Computed with exact integer
+    The hypergeometric weights w[i] = C(k,i) C(n-k,k-i) / C(n,k), i = 0..k;
+    they sum to one (Vandermonde's identity).  Computed with exact integer
     binomials, so there is no overflow for any practical ``n``.
     """
     if k < 1:
@@ -75,11 +69,11 @@ def comb_weights(n: int, k: int) -> CombWeights:
     if n < 2 * k:
         raise InsufficientSampleError(f"need n >= 2k, got n={n}, k={k}")
     denom = math.comb(n, k)
-    w = tuple(math.comb(k, i) * math.comb(n - k, k - i) / denom for i in range(k + 1))
-    return CombWeights(n=n, k=k, w=w)
+    return tuple(math.comb(k, i) * math.comb(n - k, k - i) / denom
+                 for i in range(k + 1))
 
 
-def u_stat_sym(g: EvalFn, data, k: int, *, limit: int | None = None) -> float:
+def u_stat_sym(g: EvalFn, data, k: int) -> float:
     """Average ``g`` over all C(n,k) strictly increasing index tuples.
 
     Requires ``g.symmetric`` since the combination form is only an unbiased
@@ -96,7 +90,7 @@ def u_stat_sym(g: EvalFn, data, k: int, *, limit: int | None = None) -> float:
     if n < k:
         raise InsufficientSampleError(f"need at least {k} observations, got {n}")
     count = math.comb(n, k)
-    budget = enumeration_limit() if limit is None else limit
+    budget = enumeration_limit()
     if count > budget:
         raise EnumerationLimitError(required=count, limit=budget)
     body = g.body
@@ -106,7 +100,7 @@ def u_stat_sym(g: EvalFn, data, k: int, *, limit: int | None = None) -> float:
     return total / count
 
 
-def u_stat_perm(g: EvalFn, data, m: int, *, limit: int | None = None) -> float:
+def u_stat_perm(g: EvalFn, data, m: int) -> float:
     """Average ``g`` over all P(n,m) ordered injective index tuples."""
     if g.order != m:
         raise ContractError(f"evaluation function has order {g.order}, expected {m}")
@@ -114,7 +108,7 @@ def u_stat_perm(g: EvalFn, data, m: int, *, limit: int | None = None) -> float:
     if n < m:
         raise InsufficientSampleError(f"need at least {m} observations, got {n}")
     count = math.perm(n, m)
-    budget = enumeration_limit() if limit is None else limit
+    budget = enumeration_limit()
     if count > budget:
         raise EnumerationLimitError(required=count, limit=budget)
     body = g.body

@@ -371,6 +371,18 @@ class TestNonFiniteInput:
         assert "overflow" in err and "JSON" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_normal_mean_overflow(self, capsys, tmp_path):
+        # finite rows whose squared deviations and mean norm overflow float64
+        path = tmp_path / "big.csv"
+        path.write_text("1e200,2e200,3e200\n-1e200,3e200,1e200\n2e200,-1e200,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "normal-mean", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err and "JSON" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_non_finite_tau_rejected(self, capsys, cov_csv):
         code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,
                                  "--tau", "nan", "--output", "csv")

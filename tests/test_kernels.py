@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ushrink import (
     KernelSpec,
     ParameterError,
-    UnsupportedOperationError,
     gram,
     kernel_function,
     load_gram_csv,
@@ -50,11 +49,6 @@ class TestEvalKernel:
         with pytest.raises(ValueError, match="mismatched dimensions"):
             kernel_function(KernelSpec.linear())((1, 0), (1, 0, 0))
 
-    def test_precomputed_rejected(self):
-        spec = KernelSpec.precomputed(np.eye(2))
-        with pytest.raises(UnsupportedOperationError):
-            kernel_function(spec)((1, 0), (0, 1))
-
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_symmetry(self, spec):
         rng = np.random.default_rng(0)
@@ -79,16 +73,6 @@ class TestGram:
     def test_linear_opposite_points(self):
         g = gram(KernelSpec.linear(), [[1, 0], [-1, 0]])
         assert np.array_equal(g.entries, [[1, -1], [-1, 1]])
-
-    def test_precomputed_dimension_checked(self):
-        spec = KernelSpec.precomputed(np.eye(3))
-        with pytest.raises(ValueError, match="observations"):
-            gram(spec, [[1.0], [2.0]])
-
-    def test_precomputed_passthrough(self):
-        m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        g = gram(KernelSpec.precomputed(m), [[0.0], [1.0]])
-        assert np.array_equal(g.entries, m)
 
     @settings(max_examples=30, deadline=None)
     @given(data=small_datasets(), idx=st.integers(0, 2))
@@ -248,28 +232,37 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             KernelSpec.exponential(-1.0)
 
-    def test_nonsquare_precomputed(self):
-        with pytest.raises(ParameterError, match="square"):
-            KernelSpec.precomputed(np.ones((2, 3)))
+    def test_precomputed_kind_unknown(self):
+        # a precomputed Gram matrix is loaded by load_gram_csv, not a kernel
+        with pytest.raises(ParameterError, match="unknown kernel kind 'precomputed'"):
+            KernelSpec("precomputed")
 
-    def test_asymmetric_precomputed(self):
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ParameterError, match="symmetric"):
-            KernelSpec.precomputed(m)
+    def test_nonsquare_precomputed(self, tmp_path):
+        with pytest.raises(ParameterError, match="square"):
+            load_gram_csv(_write_csv(tmp_path, np.ones((2, 3))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_asymmetric_precomputed(self, tmp_path):
+        # the second difference overflows float64 and must not warn
+        for m in ([[1.0, 2.0], [0.0, 1.0]], [[1e308, -1e308], [1e308, 1.0]]):
+            with pytest.raises(ParameterError, match="symmetric"):
+                load_gram_csv(_write_csv(tmp_path, np.array(m)))
 
     def test_tiny_asymmetry_absorbed(self, tmp_path):
         m = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
-        path = tmp_path / "gram.csv"
-        np.savetxt(path, m, delimiter=",")
-        g = load_gram_csv(path)
+        g = load_gram_csv(_write_csv(tmp_path, m))
         assert np.array_equal(g.entries, g.entries.T)
+
+
+def _write_csv(tmp_path, m):
+    path = tmp_path / "gram.csv"
+    np.savetxt(path, m, delimiter=",")
+    return path
 
 
 def test_load_gram_csv_roundtrip(tmp_path):
     m = np.array([[1.0, 0.25], [0.25, 2.0]])
-    path = tmp_path / "gram.csv"
-    np.savetxt(path, m, delimiter=",")
-    g = load_gram_csv(path)
+    g = load_gram_csv(_write_csv(tmp_path, m))
     assert np.allclose(g.entries, m, rtol=0, atol=0)
 
 
@@ -307,11 +300,12 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="observation 2, coordinate 1"):
             gram(KernelSpec.linear(), data)
 
-    def test_precomputed_nan_rejected(self):
+    def test_precomputed_nan_rejected(self, tmp_path):
         # nan - nan is nan and nan > tol is False, so the symmetry check alone
         # would let this matrix through
+        m = np.array([[1.0, math.nan], [math.nan, 1.0]])
         with pytest.raises(ParameterError, match="non-finite"):
-            KernelSpec.precomputed([[1.0, math.nan], [math.nan, 1.0]])
+            load_gram_csv(_write_csv(tmp_path, m))
 
     def test_exponential_overflow_names_scale(self):
         data = np.array([[100.0, 100.0], [101.0, 99.0], [99.0, 100.0]])

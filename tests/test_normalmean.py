@@ -90,6 +90,15 @@ class TestMuCheckC:
         assert rotated.alpha == pytest.approx(base.alpha, rel=1e-12)
         assert np.allclose(rotated.estimate, base.estimate @ q.T, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [
+        [[1e200, 0.0], [-1e200, 0.0], [3.0, 4.0]],  # S^2 overflows
+        [[1e155, 1e155], [1e155, 1e155]],  # S^2 = 0, ||Xbar||^2 overflows
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises(self, rows):
+        with pytest.raises(ValueError, match="overflow"):
+            mu_check_c(rows, 0.5)
+
     def test_serialization(self):
         d = mu_check(TWO_BY_FIVE).to_dict()
         assert d["alpha"] == 0.5

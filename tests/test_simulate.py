@@ -11,7 +11,6 @@ from ushrink import (
     InsufficientSampleError,
     KernelSpec,
     ParameterError,
-    TargetSpec,
     alpha_from,
     gaussian_embed_norm_sq,
     gaussian_kernel_location_moment,
@@ -370,18 +369,13 @@ class TestDispatchTable:
         "gaussian_embed": EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.5)),
         "exponential_embed": EstimatorSpec.mean_embed_shrink(
             KernelSpec.exponential(1.0)),
-        "dual_linear_embed": EstimatorSpec.mean_embed_shrink(
-            KernelSpec.linear(), TargetSpec.dual([[0.0, 0.0, 0.0]], [1.0])),
-        "dual_gaussian_embed": EstimatorSpec.mean_embed_shrink(
-            KernelSpec.gaussian(1.0), TargetSpec.dual([[0.0, 0.0, 0.0]], [1.0])),
         "cov_mat_plain": EstimatorSpec.cov_mat_plain(),
         "cov_mat_shrink": EstimatorSpec.cov_mat_shrink(tau=0.5),
     }
     # (estimator, distribution) pairs without a Monte Carlo route
     NO_MC = (
         {("gaussian_embed", "diagonal"), ("gaussian_embed", "uniform")}
-        | {(name, dist) for name in ("exponential_embed", "dual_linear_embed",
-                                     "dual_gaussian_embed") for dist in DISTS}
+        | {("exponential_embed", dist) for dist in DISTS}
     )
     # ... and pairs without an oracle coefficient
     NO_ORACLE = NO_MC | {(name, dist)
@@ -425,15 +419,6 @@ class TestDispatchTable:
                     no_oracle.add((name, dist_name))
         assert no_mc == self.NO_MC
         assert no_oracle == self.NO_ORACLE
-
-    def test_none_target_counts_as_zero(self):
-        dist = DISTS["spherical"]
-        for kernel in (KernelSpec.linear(), KernelSpec.gaussian(1.0)):
-            bare = EstimatorSpec(simulate.MEAN_EMBED_SHRINK, kernel=kernel)
-            zero = EstimatorSpec.mean_embed_shrink(kernel)
-            assert oracle_alpha(dist, bare, 7) == oracle_alpha(dist, zero, 7)
-            assert np.array_equal(mc_detail(bare, dist, 5, 20, 1)[0],
-                                  mc_detail(zero, dist, 5, 20, 1)[0])
 
     def test_spec_owns_its_arrays(self):
         # mean, covariance and the draw map are worked out once, so a spec

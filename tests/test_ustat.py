@@ -73,10 +73,12 @@ class TestUStatPerm:
         with pytest.raises(InsufficientSampleError):
             u_stat_perm(PRODUCT, [1.0], 2)
 
-    def test_limit_reports_required_count(self):
+    def test_limit_reports_required_count(self, monkeypatch):
+        monkeypatch.setenv("USHRINK_ENUM_LIMIT", "10")
         with pytest.raises(EnumerationLimitError) as exc:
-            u_stat_perm(PRODUCT, list(range(6)), 2, limit=10)
+            u_stat_perm(PRODUCT, list(range(6)), 2)
         assert exc.value.required == math.perm(6, 2)
+        assert exc.value.limit == 10
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8))
@@ -101,19 +103,19 @@ class TestUStatPerm:
 
 class TestCombWeights:
     def test_n4_k2(self):
-        w = comb_weights(4, 2).w
+        w = comb_weights(4, 2)
         assert w == pytest.approx((1 / 6, 2 / 3, 1 / 6), rel=1e-15)
 
     def test_n2_k1(self):
-        assert comb_weights(2, 1).w == pytest.approx((0.5, 0.5), rel=1e-15)
+        assert comb_weights(2, 1) == pytest.approx((0.5, 0.5), rel=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_sums_to_one(self, k):
         for n in range(2 * k, 201):
-            assert math.fsum(comb_weights(n, k).w) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(comb_weights(n, k)) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_n_no_overflow(self):
-        w = comb_weights(10**6, 5).w
+        w = comb_weights(10**6, 5)
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 0 for v in w)
 
