@@ -10,19 +10,17 @@ Subcommands::
 
 Input CSV files hold one observation per row, one coordinate per column; a
 single header row is skipped automatically when its first row is not
-numeric.  ``-`` reads from stdin.  Output is JSON by default (CSV is
-available for simulation grids and for the shrunk covariance matrix);
-identical invocations produce byte-identical output.  The environment
-variable ``USHRINK_ENUM_LIMIT`` overrides the exact-enumeration tuple
-budget.
+numeric, in data files and precomputed Gram matrices alike.  ``-`` reads
+from stdin.  Output is JSON by default (CSV is available for simulation
+grids and for the shrunk covariance matrix); identical invocations produce
+byte-identical output.  The environment variable ``USHRINK_ENUM_LIMIT``
+overrides the exact-enumeration tuple budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -36,6 +34,7 @@ from .kernels import (
     LINEAR,
     KernelSpec,
     _kernel_block,
+    _read_csv,
     gram,
     load_gram_csv,
 )
@@ -174,39 +173,13 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def read_dataset(path: str) -> np.ndarray:
-    """Load observations from CSV; auto-detects one optional header row.
+    """Load observations from CSV (``-`` for stdin), one per row.
 
-    ``path`` is a file name, or ``-`` for stdin.  Blank lines are skipped,
-    and the first non-blank line is a header, and is dropped, when one of
-    its comma-separated cells is not a number.  The remaining lines stream
-    from the file into ``np.loadtxt``, so no copy of the text is held beside
-    the parsed array.  Raises ``ValueError`` naming ``path`` when the file
-    cannot be opened, is empty, has a header but no data rows, or is
-    malformed (ragged rows, non-numeric cells).
+    Blank lines and one optional header row are skipped, by the rules
+    ``load_gram_csv`` also reads with (``kernels._read_csv``); raises
+    ``ValueError`` naming ``path`` on unreadable, empty or malformed input.
     """
-    if path == "-":
-        source = contextlib.nullcontext(sys.stdin)
-    else:
-        try:
-            source = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
-    with source as fh:
-        rows = (line for line in fh if line.strip())
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"{path}: empty input")
-        try:
-            [float(cell) for cell in first.split(",")]
-        except ValueError:
-            first = next(rows, None)
-            if first is None:
-                raise ValueError(f"{path}: no data rows") from None
-        try:
-            return np.loadtxt(itertools.chain([first], rows),
-                              delimiter=",", dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed CSV ({exc})") from None
+    return _read_csv(path)
 
 
 def _dump_json(obj) -> str:
@@ -249,8 +222,7 @@ def _kernel_spec(config: argparse.Namespace) -> KernelSpec:
 
 def _run_mean_shrink(config: argparse.Namespace) -> dict:
     if config.kernel == PRECOMPUTED:
-        g = load_gram_csv(config.input_path if config.input_path != "-"
-                          else sys.stdin)
+        g = load_gram_csv(config.input_path)
         data = spec = None
         element, report = shrink_mean(g)
     else:

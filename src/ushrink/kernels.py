@@ -33,6 +33,9 @@ cone; supplying a PSD matrix is the caller's responsibility.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -263,27 +266,69 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     return np.exp(sq, out=sq)
 
 
-def load_gram_csv(path) -> GramMatrix:
-    """Load a precomputed Gram matrix from CSV (square numeric, no header).
+def _read_csv(path) -> np.ndarray:
+    """Numbers from a comma-separated file as a 2-D float array.
 
-    ``path`` is a file name or an open text file.  Raises ``ParameterError``
-    unless the matrix is square, finite and symmetric within
-    ``SYMMETRY_RTOL`` of its largest entry (at least 1); the result is
-    symmetrized.
+    ``path`` is a file name, ``-`` for stdin, or an open text file.  Blank
+    lines are skipped, and the first non-blank line is a header, and is
+    dropped, when one of its comma-separated cells is not a number.  The
+    remaining lines stream from the file into ``np.loadtxt``, so no copy of
+    the text is held beside the parsed array.  Raises ``ValueError`` naming
+    the file when it cannot be opened, is empty, has a header but no data
+    rows, or is malformed (ragged rows, non-numeric cells).
     """
-    m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    name = getattr(path, "name", path)
+    if hasattr(path, "read"):
+        source = contextlib.nullcontext(path)
+    elif path == "-":
+        source = contextlib.nullcontext(sys.stdin)
+    else:
+        try:
+            source = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read {name}: {exc}") from None
+    with source as fh:
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{name}: empty input")
+        try:
+            [float(cell) for cell in first.split(",")]
+        except ValueError:
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{name}: no data rows") from None
+        try:
+            return np.loadtxt(itertools.chain([first], rows),
+                              delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{name}: malformed CSV ({exc})") from None
+
+
+def load_gram_csv(path) -> GramMatrix:
+    """Load a precomputed Gram matrix from CSV.
+
+    ``path`` is a file name, ``-`` for stdin, or an open text file, read as
+    ``cli.read_dataset`` reads data (one optional header row).  Raises
+    ``ValueError`` naming the file when it cannot be parsed, and
+    ``ParameterError`` unless the matrix is square, finite and symmetric
+    within ``SYMMETRY_RTOL`` of its largest entry (at least 1); the result
+    is symmetrized.
+    """
+    m = _read_csv(path)
+    name = getattr(path, "name", path)
     if m.shape[0] != m.shape[1]:
         raise ParameterError(
-            f"precomputed kernel matrix must be square, got shape {m.shape}")
+            f"{name}: precomputed kernel matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ParameterError(
-            "precomputed kernel matrix has non-finite entries (nan or inf)")
+            f"{name}: precomputed kernel matrix has non-finite entries (nan or inf)")
     scale = max(1.0, float(np.abs(m).max()))
     with np.errstate(over="ignore"):  # a difference that overflows is inf
         asymmetry = float(np.abs(m - m.T).max())
     if asymmetry > SYMMETRY_RTOL * scale:
         raise ParameterError(
-            "precomputed kernel matrix is not symmetric within tolerance")
+            f"{name}: precomputed kernel matrix is not symmetric within tolerance")
     return GramMatrix(_symmetrize(m))
 
 

@@ -6,9 +6,12 @@ All draws come from numpy's counter-based Philox bit generator.
 ``sample(dist, n, seed)`` is a pure function of its arguments: it returns
 the draws of a fresh ``Generator(Philox(key=seed))``.  Replication ``r``
 of a Monte Carlo run sees ``sample(dist, n, seed + r)``, so every
-replication is an independent, addressable stream: results are
-bit-reproducible and two estimators evaluated with the same base seed see
-identical datasets (paired comparisons come for free).
+replication is an independent, addressable stream and results are
+bit-reproducible.  ``mc_detail`` takes a sequence of estimators and draws
+each replication's dataset once: every estimator is evaluated on that one
+draw, so a paired comparison scores all its estimators on the same
+datasets without sampling them again.  An estimator's errors do not depend
+on which other estimators share the run.
 
 ``sample`` does not construct a generator per call: it re-keys one shared
 Philox generator to ``seed``, which puts it in exactly the state of a new
@@ -17,9 +20,9 @@ blocks: the datasets of replications ``r`` .. ``r + m - 1`` fill an
 (m, n, d) array of at most ``max(BLOCK_VALUES, n * d)`` draws, so memory
 stays bounded whatever the number of replications.  Each estimator is then
 evaluated on the whole block at once, with reductions fixed so that every
-row equals the one-dataset computation bit for bit.  Aggregation uses
-exact (Shewchuk) summation, so the reported risk does not depend on
-accumulation order.
+row equals the one-dataset computation bit for bit; no estimator writes
+to the block.  Aggregation uses exact (Shewchuk) summation, so the
+reported risk does not depend on accumulation order.
 
 Dispatch
 --------
@@ -47,7 +50,7 @@ import itertools
 import math
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -422,24 +425,30 @@ def _route(est: EstimatorSpec, dist: DistSpec):
     return route
 
 
-def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
+def mc_detail(ests: Sequence[EstimatorSpec], dist: DistSpec, n: int, reps: int,
               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication squared errors and shrinkage coefficients.
+    """Per-replication squared errors and shrinkage coefficients of estimators.
 
-    Replication r sees ``sample(dist, n, seed + r)``.  The coefficient array
-    is nan for estimators without one (sample mean, plain covariance).
-    Replications run in blocks: the datasets of up to ``BLOCK_VALUES``
-    draws (one dataset if it alone is larger) fill an (m, n, d) array, and
-    the estimator is evaluated on the whole block.
+    ``ests`` is a sequence of estimators; row i of both (len(ests), reps)
+    arrays belongs to ``ests[i]``.  Replication r sees
+    ``sample(dist, n, seed + r)``, drawn once and shared by every estimator.
+    The coefficients are nan for estimators without one (sample mean, plain
+    covariance).  Replications run in blocks: the datasets of up to
+    ``BLOCK_VALUES`` draws (one dataset if it alone is larger) fill an
+    (m, n, d) array, and each estimator is evaluated on the whole block.
+    Every estimator's route is checked before anything is drawn.
     """
     if reps < 1:
         raise ParameterError(f"need reps >= 1, got {reps}")
-    batch = _route(est, dist)[0]
+    ests = tuple(ests)
+    if not ests:
+        raise ParameterError("need at least one estimator")
+    batches = [_route(est, dist)[0] for est in ests]
     seed = _check_sample_args(n, seed, reps)
     per_block = max(1, BLOCK_VALUES // (n * dist.dim))
     buf = np.empty((min(per_block, reps), n, dist.dim))
-    errs = np.empty(reps)
-    alphas = np.empty(reps)
+    errs = np.empty((len(ests), reps))
+    alphas = np.empty((len(ests), reps))
     for lo in range(0, reps, per_block):
         block = buf[:min(per_block, reps - lo)]
         # one ``sample`` call per replication: the dataset of replication r
@@ -448,7 +457,8 @@ def mc_detail(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
         for i in range(len(block)):
             block[i] = sample(dist, n, seed + lo + i)
         hi = lo + len(block)
-        errs[lo:hi], alphas[lo:hi] = batch(est, dist, block)
+        for k, (est, batch) in enumerate(zip(ests, batches)):
+            errs[k, lo:hi], alphas[k, lo:hi] = batch(est, dist, block)
     return errs, alphas
 
 
@@ -495,7 +505,7 @@ def mc_risk(est: EstimatorSpec, dist: DistSpec, n: int, reps: int,
     rejected rather than reported.
     """
     _check_min_reps(reps)
-    errs = mc_detail(est, dist, n, reps, seed)[0]
+    errs = mc_detail((est,), dist, n, reps, seed)[0][0]
     return summarize_errors(errs, reps, seed)
 
 
@@ -578,10 +588,10 @@ def _risk_row(est: EstimatorSpec, dist: DistSpec, n: int,
 
 
 def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
-               seed: int) -> tuple[list[dict], list[np.ndarray]]:
+               seed: int) -> tuple[list[dict], np.ndarray]:
     """Risk rows of estimators on shared datasets, with their per-replication errors."""
     _check_min_reps(reps)
-    errs = [mc_detail(est, dist, n, reps, seed)[0] for est in ests]
+    errs = mc_detail(ests, dist, n, reps, seed)[0]
     rows = [_risk_row(est, dist, n, summarize_errors(e, reps, seed))
             for est, e in zip(ests, errs)]
     return rows, errs
@@ -632,7 +642,7 @@ def run_experiment(
         rows = []
         points = []
         for n in grid:
-            errs, alphas = mc_detail(est, dist, n, reps, seed)
+            (errs,), (alphas,) = mc_detail((est,), dist, n, reps, seed)
             risk = summarize_errors(errs, reps, seed)
             a_star = oracle_alpha(dist, est, n)
             rows.append({

@@ -151,8 +151,8 @@ def test_criterion_5_improvement_d10(criterion):
     start = time.time()
     dist = DistSpec.spherical_gaussian(e1(10), 1.0)
     reps, seed = 10**5, 510_000
-    errs_shrunk = mc_detail(EstimatorSpec.mu_check(), dist, 5, reps, seed)[0]
-    errs_plain = mc_detail(EstimatorSpec.sample_mean(), dist, 5, reps, seed)[0]
+    errs_shrunk, errs_plain = mc_detail(
+        (EstimatorSpec.mu_check(), EstimatorSpec.sample_mean()), dist, 5, reps, seed)[0]
     plain = summarize_errors(errs_plain, reps, seed)
     shrunk = summarize_errors(errs_shrunk, reps, seed)
     diff = summarize_errors(errs_plain - errs_shrunk, reps, seed)
@@ -175,8 +175,8 @@ def test_criterion_6_damped_improvement_d3(criterion):
     dist = DistSpec.spherical_gaussian(e1(3, scale=2.0), 1.0)
     n, reps, seed = 10, 10**6, 610_000
     c = (2 * n - 2) / (3 * n - 1)
-    errs_damped = mc_detail(EstimatorSpec.mu_check_c(c), dist, n, reps, seed)[0]
-    errs_plain = mc_detail(EstimatorSpec.sample_mean(), dist, n, reps, seed)[0]
+    damped_est, plain_est = EstimatorSpec.mu_check_c(c), EstimatorSpec.sample_mean()
+    errs_damped, errs_plain = mc_detail((damped_est, plain_est), dist, n, reps, seed)[0]
     plain = summarize_errors(errs_plain, reps, seed)
     damped = summarize_errors(errs_damped, reps, seed)
     diff = summarize_errors(errs_plain - errs_damped, reps, seed)
@@ -202,7 +202,7 @@ def consistency_grid():
     start = time.time()
     rows = []
     for n in (25, 50, 100, 200):
-        errs, alphas = mc_detail(est, dist, n, reps, seed)
+        (errs,), (alphas,) = mc_detail((est,), dist, n, reps, seed)
         risk = summarize_errors(errs, reps, seed)
         a_star = oracle_alpha(dist, est, n)
         rows.append({

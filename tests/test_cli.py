@@ -292,6 +292,44 @@ class TestReadDataset:
             read_dataset(str(path))
 
 
+class TestPrecomputedCsv:
+    # --kernel precomputed reads its file by read_dataset's rules
+    @staticmethod
+    def run(capsys, path, text):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            # a numpy warning would print on stderr before the error
+            warnings.simplefilter("error")
+            return run_cli(capsys, "mean-shrink", "--kernel", "precomputed",
+                           "--input", str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("a,b\n\n", "no data rows"),
+        ("1,0\n0,x\n", "malformed CSV"),
+    ], ids=["empty", "header-only", "malformed"])
+    def test_rejected_naming_the_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "g.csv"
+        code, out, err = self.run(capsys, path, text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_header_skipped(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path / "g.csv", "a,b\n1,0\n0,1\n")
+        assert code == 0
+        assert err == ""
+        assert out == self.run(capsys, tmp_path / "plain.csv", "1,0\n0,1\n")[1]
+
+    def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("k1,k2\n2,1\n1,2\n"))
+        code, out, _ = run_cli(capsys, "mean-shrink", "--kernel", "precomputed",
+                               "--input", "-")
+        assert code == 0
+        assert json.loads(out)["n"] == 2
+
+
 def test_out_path_writes_file(tmp_path, capsys, data_csv):
     out_file = tmp_path / "result.json"
     code = main(["normal-mean", "--input", data_csv, "--out", str(out_file)])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -166,15 +167,14 @@ class TestMcRisk:
 
     def test_linear_embed_equals_mu_check(self):
         dist = DistSpec.spherical_gaussian(e1(3), 1.0)
-        emb = mc_detail(EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
-                        dist, 10, 100, 3)[0]
-        mc = mc_detail(EstimatorSpec.mu_check(), dist, 10, 100, 3)[0]
+        emb, mc = mc_detail((EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
+                             EstimatorSpec.mu_check()), dist, 10, 100, 3)[0]
         assert np.array_equal(emb, mc)
 
     def test_paired_replications_share_data(self):
         # replication r is seeded with seed + r for every estimator
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        errs = mc_detail(EstimatorSpec.sample_mean(), dist, 6, 100, 40)[0]
+        errs = mc_detail((EstimatorSpec.sample_mean(),), dist, 6, 100, 40)[0][0]
 
         def err(r):
             diff = sample(dist, 6, 40 + r).mean(axis=0) - dist.mean
@@ -186,13 +186,13 @@ class TestMcRisk:
 class TestMcAlphas:
     def test_values_in_unit_interval(self):
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        alphas = mc_detail(EstimatorSpec.mu_check(), dist, 10, 200, 8)[1]
+        alphas = mc_detail((EstimatorSpec.mu_check(),), dist, 10, 200, 8)[1]
         assert np.all((alphas >= 0) & (alphas <= 1))
 
     def test_detail_is_one_pass(self):
         dist = DistSpec.spherical_gaussian(e1(2), 1.0)
-        errs, alphas = mc_detail(EstimatorSpec.mu_check(), dist, 10, 150, 2)
-        assert errs.shape == alphas.shape == (150,)
+        errs, alphas = mc_detail((EstimatorSpec.mu_check(),), dist, 10, 150, 2)
+        assert errs.shape == alphas.shape == (1, 150)
 
 
 class TestOracleAlpha:
@@ -334,14 +334,14 @@ class TestBatchedReplication:
         dist = DISTS[name]
         per_block = simulate.BLOCK_VALUES // (self.N * dist.dim)
         reps = per_block + 37  # one full block and part of a second
-        errs, alphas = mc_detail(est, dist, self.N, reps, self.SEED)
+        (errs,), (alphas,) = mc_detail((est,), dist, self.N, reps, self.SEED)
         ref_errs, ref_alphas = self.loop(est, dist, self.N, reps, self.SEED)
         assert np.array_equal(errs, ref_errs)
         assert np.array_equal(alphas, ref_alphas, equal_nan=True)
 
     def test_per_replication_estimators_see_block_rows(self):
         dist = DistSpec.spherical_gaussian(np.zeros(2), 1.0)
-        errs = mc_detail(EstimatorSpec.cov_mat_plain(), dist, 5, 100, 60)[0]
+        errs = mc_detail((EstimatorSpec.cov_mat_plain(),), dist, 5, 100, 60)[0][0]
         for r in (0, 57, 99):
             xc = sample(dist, 5, 60 + r)
             xc = xc - xc.mean(axis=0)
@@ -351,7 +351,7 @@ class TestBatchedReplication:
     def test_single_observation_rejected(self):
         dist = DISTS["spherical"]
         with pytest.raises(InsufficientSampleError):
-            mc_detail(EstimatorSpec.mu_check(), dist, 1, 100, 0)
+            mc_detail((EstimatorSpec.mu_check(),), dist, 1, 100, 0)
 
     def test_experiment_reps_floor(self):
         with pytest.raises(ParameterError, match="reps"):
@@ -410,7 +410,7 @@ class TestDispatchTable:
         for name, est in self.ESTS.items():
             for dist_name, dist in DISTS.items():
                 try:
-                    mc_detail(est, dist, 5, 3, 0)
+                    mc_detail((est,), dist, 5, 3, 0)
                 except CapabilityError:
                     no_mc.add((name, dist_name))
                 try:
@@ -431,3 +431,59 @@ class TestDispatchTable:
         for spec, (mean, draws) in zip(specs, before):
             assert np.array_equal(spec.mean, mean)
             assert np.array_equal(sample(spec, 3, 5), draws)
+
+
+class TestSharedEngine:
+    # mc_detail draws each replication once for all its estimators; every
+    # row must equal the estimator's own run bit for bit
+    N, SEED = 6, 700
+
+    @staticmethod
+    def estimators(dist_name):
+        # the dispatch table's estimators with a route under the distribution:
+        # at least one of each of the seven kinds under every one of DISTS
+        return tuple(est for name, est in TestDispatchTable.ESTS.items()
+                     if (name, dist_name) not in TestDispatchTable.NO_MC)
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_rows_equal_single_runs(self, name):
+        dist = DISTS[name]
+        ests = self.estimators(name)
+        assert {est.kind for est in ests} == set(simulate._ROUTES)
+        reps = simulate.BLOCK_VALUES // (self.N * dist.dim) + 37
+        single = [mc_detail((est,), dist, self.N, reps, self.SEED) for est in ests]
+        for order in (ests, ests[::-1]):
+            errs, alphas = mc_detail(order, dist, self.N, reps, self.SEED)
+            assert errs.shape == alphas.shape == (len(ests), reps)
+            for k, est in enumerate(order):
+                ref_errs, ref_alphas = single[ests.index(est)]
+                assert np.array_equal(errs[k], ref_errs[0]), est.label()
+                assert np.array_equal(alphas[k], ref_alphas[0], equal_nan=True)
+
+    def test_one_sample_call_per_replication(self, monkeypatch):
+        # the benchmark's tracer counts replications as mc_detail's
+        # positional argument 3 and expects one sample call for each
+        assert list(inspect.signature(mc_detail).parameters)[3] == "reps"
+        calls = []
+
+        def counted(dist, n, seed):
+            calls.append(seed)
+            return sample(dist, n, seed)
+
+        monkeypatch.setattr(simulate, "sample", counted)
+        dist = DISTS["uniform"]
+        ests = self.estimators("uniform")
+        reps = 2 * (simulate.BLOCK_VALUES // (self.N * dist.dim)) + 5
+        mc_detail(ests, dist, self.N, reps, self.SEED)
+        assert calls == [self.SEED + r for r in range(reps)]
+
+    def test_routes_checked_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(simulate, "sample", None)  # any draw would fail
+        gauss_embed = EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.0))
+        with pytest.raises(CapabilityError):
+            mc_detail((EstimatorSpec.sample_mean(), gauss_embed),
+                      DISTS["uniform"], self.N, 100, 0)
+
+    def test_no_estimators_rejected(self):
+        with pytest.raises(ParameterError, match="at least one estimator"):
+            mc_detail((), DISTS["spherical"], self.N, 100, 0)
