@@ -24,7 +24,7 @@ from .kernels import (
     kernel_function,
     load_gram_csv,
 )
-from .ustat import EvalFn, comb_weights, u_stat_perm, u_stat_sym
+from .ustat import EvalFn, comb_weights, u_stat_perm
 from .shrinkage import (
     DEGENERATE,
     GENERAL,
@@ -45,8 +45,6 @@ from .shrinkage import (
 from .covmat import (
     CovShrinkResult,
     SpectralSummaries,
-    delta_degen_closed,
-    delta_general_closed,
     dist_sq_identity,
     shrink_cov_matrix,
     spectral_summaries,
@@ -101,9 +99,7 @@ __all__ = [
     "covop_overlap_products",
     "default_c",
     "delta_degen",
-    "delta_degen_closed",
     "delta_general",
-    "delta_general_closed",
     "dimension_threshold",
     "dist_sq_identity",
     "dual_norm_sq",
@@ -128,5 +124,4 @@ __all__ = [
     "shrink_mean",
     "spectral_summaries",
     "u_stat_perm",
-    "u_stat_sym",
 ]

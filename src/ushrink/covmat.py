@@ -10,9 +10,16 @@ distance to the target tau I, the moment identities behind them, and the
 shrunk matrix (1 - alpha) C_hat + alpha tau I, where C_hat is the unbiased
 sample covariance.
 
-Conventions: Sigma_hat uses divisor n; the bias correction enters through
-C_hat = n/(n-1) Sigma_hat.  The target scale tau defaults to 1 (identity
-target) and generalizes the identity-target algebra verbatim.  Data whose
+The two risk estimates are polynomials in sum_fourth = sum_i ||X_i - Xbar||^4,
+tr_s2 = Tr[Sigma_hat^2] and tr_sq = Tr^2[Sigma_hat]; with c = C(n,2) P(n,4),
+
+  general     sum_fourth/((n-2)(n-3)) - n(n+1)/((n-1)^2 (n-3)) tr_s2
+                - n/((n-1)(n-2)(n-3)) tr_sq
+  degenerate  [n(n^2-3n+4) sum_fourth - 4n^2(n-2) tr_s2
+                + n^2(n^2-5n+4) tr_sq] / (2c)
+
+Conventions: Sigma_hat uses divisor n, C_hat = n/(n-1) Sigma_hat carries the
+bias correction, and tau defaults to 1 (the identity target).  Data whose
 Sigma_hat or sums overflow float64 raise ``ValueError``.
 """
 
@@ -157,47 +164,6 @@ def moment_identity_check(data) -> list[tuple[float, float]]:
     return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
 
 
-def _linear_covop(x: np.ndarray, variant: str,
-                  tau: float | None = None) -> tuple[np.ndarray, ShrinkageReport]:
-    """Sigma_hat and the covariance-operator report under the linear kernel.
-
-    ``x`` is a dataset already validated by ``as_dataset``.  The report's
-    distance is to tau I, or to zero (the estimate's squared norm) when
-    ``tau`` is None.
-    """
-    n, d = x.shape
-    _check_covop_n(n)
-    sigma, tr, tr_s2, sum_fourth = _moments(x)
-    dist_sq = None if tau is None else _dist_sq(n, d, tr, tr_s2, tau)
-    return sigma, _covop_report(variant, n, n * tr, sum_fourth, n * n * tr_s2,
-                                dist_sq)
-
-
-def delta_general_closed(data) -> float:
-    """Closed form of the general risk estimate under the linear kernel.
-
-        sum_fourth / ((n-2)(n-3))
-      - n(n+1) / ((n-1)^2 (n-3)) * tr_s2
-      - n / ((n-1)(n-2)(n-3)) * tr_sq
-
-    It is evaluated as ``shrink_covop`` of the linear Gram, from its sums.
-    """
-    return _linear_covop(as_dataset(data), GENERAL)[1].delta_hat
-
-
-def delta_degen_closed(data) -> float:
-    """Closed form of the degenerate risk estimate under the linear kernel.
-
-        n(n^2 - 3n + 4) / (2 C(n,2) P(n,4)) * sum_fourth
-      - 2n^2 (n - 2)   / (C(n,2) P(n,4))   * tr_s2
-      + n^2 (n^2 - 5n + 4) / (2 C(n,2) P(n,4)) * tr_sq
-
-    It is evaluated as ``shrink_covop_degen`` of the linear Gram, from its
-    sums.
-    """
-    return _linear_covop(as_dataset(data), DEGENERATE)[1].delta_hat
-
-
 def dist_sq_identity(data, tau: float = 1.0) -> float:
     """Squared Frobenius distance ||C_hat - tau I||_F^2, in closed form.
 
@@ -240,7 +206,10 @@ def shrink_cov_matrix(
         )
     x = as_dataset(data)
     n, d = x.shape
-    sigma, report = _linear_covop(x, variant, tau)
+    _check_covop_n(n)
+    sigma, tr, tr_s2, sum_fourth = _moments(x)
+    report = _covop_report(variant, n, n * tr, sum_fourth, n * n * tr_s2,
+                           _dist_sq(n, d, tr, tr_s2, tau))
     c_hat = n / (n - 1) * sigma
     shrunk = (1.0 - report.alpha) * c_hat + report.alpha * tau * np.eye(d)
     return CovShrinkResult(sigma_hat=sigma, c_hat=c_hat, shrunk=shrunk,

@@ -16,6 +16,8 @@ import numpy as np
 from . import covmat
 from .kernels import KernelSpec, gram, kernel_function
 from .shrinkage import (
+    DEGENERATE,
+    GENERAL,
     covop_overlap_products,
     delta_degen,
     delta_general,
@@ -86,9 +88,9 @@ def check_closed_forms(seed: int = 1) -> SuiteResult:
 
     def pairs():
         for data in _datasets(rng, (4, 5, 6), (1, 3)):
-            yield (covmat.delta_general_closed(data),
+            yield (covmat.shrink_cov_matrix(data, variant=GENERAL).report.delta_hat,
                    delta_general(overlaps, disjoint, data, 2))
-            yield (covmat.delta_degen_closed(data),
+            yield (covmat.shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat,
                    delta_degen(overlaps[1], disjoint, data, 2))
 
     return _suite("closed-forms-vs-enumeration", pairs(), CLOSED_FORM_TOL)

@@ -19,8 +19,9 @@ where delta_hat estimates the risk E||C_hat - C||^2.  This module provides
 Risk estimators are unbiased and may come out negative on small samples, so
 the returned coefficient is the raw ratio clamped to [0, 1]; a vanishing
 denominator is resolved to alpha = 0 (no shrinkage).  Squared distances that
-round slightly negative (above -1e-9) are snapped to zero.  A risk estimate
-or squared distance that overflows float64 raises ``ValueError``.
+round slightly negative (above -1e-9) are snapped to zero.  A denominator
+delta_hat + ||C_hat - f*||^2 that is not finite (a NaN or infinite input, or
+a sum that overflows float64) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -102,35 +103,43 @@ def alpha_from(delta_hat: float, dist_sq: float) -> tuple[float, float]:
 
     Returns ``(alpha_raw, alpha)`` where ``alpha_raw`` is
     delta_hat / (delta_hat + dist_sq) (zero if the denominator vanishes) and
-    ``alpha`` is its clamp to [0, 1].  Total function: never raises.
+    ``alpha`` is its clamp to [0, 1].  Raises ``ValueError`` when the
+    denominator is not finite, which on finite data means the computation
+    overflowed float64.
     """
     denom = delta_hat + dist_sq
+    if not math.isfinite(denom):
+        raise ValueError(
+            f"shrinkage risk is not finite or overflows float64: delta_hat="
+            f"{delta_hat:g}, dist_sq={dist_sq:g}; rescale the data")
     raw = 0.0 if denom == 0.0 else delta_hat / denom
     return raw, min(1.0, max(0.0, raw))
 
 
 def clamped_alpha(delta_hat: np.ndarray, dist_sq: np.ndarray) -> np.ndarray:
-    """Elementwise clamped coefficient of ``alpha_from`` over arrays.
+    """Elementwise ``alpha_from(d, s)[1]`` over arrays, bit for bit: no -0.0.
 
-    Bit-identical to ``alpha_from(d, s)[1]`` at every position, including
-    its zero-denominator rule and its mapping of a NaN ratio to 0.
+    Raises ``ValueError`` as ``alpha_from`` does, on the first pair (in flat
+    order) whose denominator is not finite.  ``alpha_from`` stays on Python
+    floats: routing it through numpy would about double the time of a
+    ``shrink_mean`` call.
     """
-    denom = delta_hat + dist_sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = delta_hat + dist_sq
+    finite = np.isfinite(denom)
+    if not finite.all():  # alpha_from raises on the first bad pair
+        alpha_from(*(float(np.broadcast_to(a, denom.shape)[~finite][0])
+                     for a in (delta_hat, dist_sq)))
     raw = np.divide(delta_hat, denom, out=np.zeros_like(denom), where=denom != 0.0)
-    return np.minimum(1.0, np.fmax(0.0, raw))
+    return np.minimum(1.0, np.where(raw > 0.0, raw, 0.0))
 
 
 def _report(variant: str, delta: float, dist_sq: float) -> ShrinkageReport:
     """Report of a risk estimate and a squared distance to the target.
 
-    Snaps ``dist_sq`` in (DIST_SQ_FLOOR, 0) to 0 and forms the coefficient.
-    Raises ``ValueError`` when either input is not finite, which on finite
-    data means the computation overflowed float64.
+    Snaps ``dist_sq`` in (DIST_SQ_FLOOR, 0) to 0 and forms the coefficient
+    with ``alpha_from``, which raises on a non-finite denominator.
     """
-    if not (math.isfinite(delta) and math.isfinite(dist_sq)):
-        raise ValueError(
-            f"shrinkage risk overflows float64: delta_hat={delta:g}, "
-            f"dist_sq={dist_sq:g}; rescale the data")
     if DIST_SQ_FLOOR < dist_sq < 0.0:
         dist_sq = 0.0
     raw, alpha = alpha_from(delta, dist_sq)
@@ -219,8 +228,8 @@ def mean_overlap_products(
     kernel_fn: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[list[EvalFn], EvalFn]:
     """Overlap/disjoint products for the mean embedding (order 1)."""
-    shared = EvalFn(order=1, body=lambda x: kernel_fn(x, x), symmetric=True)
-    disjoint = EvalFn(order=2, body=kernel_fn, symmetric=True)
+    shared = EvalFn(order=1, body=lambda x: kernel_fn(x, x))
+    disjoint = EvalFn(order=2, body=kernel_fn)
     return [shared], disjoint
 
 
@@ -244,8 +253,7 @@ def covop_overlap_products(
         return 0.25 * diff * diff
 
     share_one = EvalFn(order=3, body=lambda a, b, c: pair_product(a, b, a, c))
-    share_two = EvalFn(order=2, body=lambda a, b: pair_product(a, b, a, b),
-                       symmetric=True)
+    share_two = EvalFn(order=2, body=lambda a, b: pair_product(a, b, a, b))
     disjoint = EvalFn(order=4, body=pair_product)
     return [share_one, share_two], disjoint
 
@@ -282,7 +290,7 @@ def shrink_mean(
     if n < 2:
         raise InsufficientSampleError(f"need at least 2 observations, got {n}")
 
-    # an overflow here comes out inf and is reported by _report
+    # an overflow here comes out inf or nan and alpha_from raises on it
     with np.errstate(over="ignore", invalid="ignore"):
         trace = float(np.trace(g))
         total = float(g.sum())
@@ -358,7 +366,7 @@ def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
     sums are n Tr[Sigma_hat], sum_i ||X_i - Xbar||^4 and n^2 Tr[Sigma_hat^2]:
     the covariance matrix is the covariance operator of the linear kernel.
     The caller checks n >= 4 (``_check_covop_n``).  Raises ``ValueError``
-    when the result overflows float64.
+    when the result overflows float64 (see ``alpha_from``).
     """
     if variant == GENERAL:
         delta = (

@@ -107,7 +107,10 @@ class DistSpec:
     def __post_init__(self):
         if self.kind not in _DIST_MAPS:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
-        mean, variances, scale, shift, draw = _DIST_MAPS[self.kind](self)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, variances, scale, shift, draw = _DIST_MAPS[self.kind](self)
+        if not all(np.isfinite(v).all() for v in (mean, variances, scale, shift)):
+            raise ParameterError(f"{self.kind}: parameters and moments must be finite")
         covariance = np.diag(variances)
         covariance.setflags(write=False)  # one array, shared by every caller
         derived = {"dim": mean.shape[0], "mean": mean, "covariance": covariance,
@@ -534,15 +537,15 @@ def oracle_alpha(dist: DistSpec, est: EstimatorSpec, n: int) -> float:
 def rate_slope(points) -> float:
     """Least-squares slope of log(risk) against log(n).
 
-    Needs at least three (n, risk) points, all strictly positive.
+    Needs at least three (n, risk) points, all finite and strictly positive.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ParameterError(f"need at least 3 points, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=float)
     risks = np.array([p[1] for p in pts], dtype=float)
-    if np.any(ns <= 0) or np.any(risks <= 0):
-        raise ParameterError("all n and risk values must be positive")
+    if not all(((v > 0) & (v < math.inf)).all() for v in (ns, risks)):
+        raise ParameterError("all n and risk values must be finite and positive")
     slope, _ = np.polyfit(np.log(ns), np.log(risks), 1)
     return float(slope)
 

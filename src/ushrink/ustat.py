@@ -1,7 +1,7 @@
-"""Exact enumeration of combination and permutation U-statistics.
+"""Exact enumeration of permutation U-statistics.
 
-These are desk-scale oracle paths: they average a caller-supplied evaluation
-function over all index tuples, in fixed lexicographic order, with exact
+A desk-scale oracle path: the average of a caller-supplied evaluation function
+over all ordered injective index tuples, in fixed lexicographic order, with exact
 (Shewchuk) summation.  Factorial growth is held in check by one tuple
 budget, the ``USHRINK_ENUM_LIMIT`` environment variable (default 10^7), read
 at each call: an enumeration longer than the budget raises
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable
 
 from .errors import (
@@ -46,15 +46,10 @@ def enumeration_limit() -> int:
 
 @dataclass(frozen=True)
 class EvalFn:
-    """A real-valued evaluation function of ``order`` data points.
-
-    ``symmetric`` declares invariance under argument permutation; it is the
-    caller's contract and is only spot-checked by tests.
-    """
+    """A real-valued evaluation function of ``order`` data points."""
 
     order: int
     body: Callable[..., float]
-    symmetric: bool = False
 
 
 def comb_weights(n: int, k: int) -> tuple[float, ...]:
@@ -71,33 +66,6 @@ def comb_weights(n: int, k: int) -> tuple[float, ...]:
     denom = math.comb(n, k)
     return tuple(math.comb(k, i) * math.comb(n - k, k - i) / denom
                  for i in range(k + 1))
-
-
-def u_stat_sym(g: EvalFn, data, k: int) -> float:
-    """Average ``g`` over all C(n,k) strictly increasing index tuples.
-
-    Requires ``g.symmetric`` since the combination form is only an unbiased
-    estimator for symmetric evaluation functions.
-    """
-    if not g.symmetric:
-        raise ContractError(
-            "u_stat_sym requires a symmetric evaluation function; "
-            "use u_stat_perm for general ones"
-        )
-    if g.order != k:
-        raise ContractError(f"evaluation function has order {g.order}, expected {k}")
-    n = len(data)
-    if n < k:
-        raise InsufficientSampleError(f"need at least {k} observations, got {n}")
-    count = math.comb(n, k)
-    budget = enumeration_limit()
-    if count > budget:
-        raise EnumerationLimitError(required=count, limit=budget)
-    body = g.body
-    total = math.fsum(
-        body(*(data[i] for i in idx)) for idx in combinations(range(n), k)
-    )
-    return total / count
 
 
 def u_stat_perm(g: EvalFn, data, m: int) -> float:

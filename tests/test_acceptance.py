@@ -11,14 +11,14 @@ import pytest
 
 import oracles
 from ushrink import (
+    DEGENERATE,
+    GENERAL,
     DistSpec,
     EstimatorSpec,
     KernelSpec,
     covop_overlap_products,
     delta_degen,
-    delta_degen_closed,
     delta_general,
-    delta_general_closed,
     gram,
     kernel_function,
     mc_risk,
@@ -72,11 +72,11 @@ def test_criterion_2_closed_forms_vs_enumeration(criterion):
         d = 1 + i % 3
         data = rng.uniform(-2.0, 2.0, size=(n, d))
         worst = max(worst, oracles.rel_err(
-            delta_general_closed(data),
+            shrink_cov_matrix(data, variant=GENERAL).report.delta_hat,
             delta_general(overlaps, disjoint, data, 2),
         ))
         worst = max(worst, oracles.rel_err(
-            delta_degen_closed(data),
+            shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat,
             delta_degen(overlaps[1], disjoint, data, 2),
         ))
     elapsed = time.time() - start

@@ -5,11 +5,11 @@ import pytest
 
 import oracles
 from ushrink import (
+    DEGENERATE,
+    GENERAL,
     InsufficientSampleError,
     KernelSpec,
     ParameterError,
-    delta_degen_closed,
-    delta_general_closed,
     dist_sq_identity,
     gram,
     shrink_cov_matrix,
@@ -19,6 +19,11 @@ from ushrink import (
 from ushrink.covmat import moment_identity_check
 
 PAIR = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
+
+def delta_closed(data, variant):
+    """The linear-kernel closed-form risk estimate of shrink_cov_matrix."""
+    return shrink_cov_matrix(data, variant=variant).report.delta_hat
 
 
 def random_orthogonal(rng, d):
@@ -83,7 +88,7 @@ class TestClosedForms:
         data = rng.uniform(-2, 2, size=(n, 3))
         g = oracles.linear_gram(data)
         assert oracles.rel_err(
-            delta_general_closed(data), oracles.covop_delta_general_brute(g)
+            delta_closed(data, GENERAL), oracles.covop_delta_general_brute(g)
         ) <= 1e-8
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -92,23 +97,23 @@ class TestClosedForms:
         data = rng.uniform(-2, 2, size=(n, 3))
         g = oracles.linear_gram(data)
         assert oracles.rel_err(
-            delta_degen_closed(data), oracles.covop_delta_degen_brute(g)
+            delta_closed(data, DEGENERATE), oracles.covop_delta_degen_brute(g)
         ) <= 1e-8
 
     def test_identical_points(self):
         data = np.tile([1.0, -1.0], (6, 1))
-        assert delta_general_closed(data) == 0.0
-        assert delta_degen_closed(data) == 0.0
+        assert delta_closed(data, GENERAL) == 0.0
+        assert delta_closed(data, DEGENERATE) == 0.0
 
     def test_quartic_scaling(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(6, 3))
         s = 1.7
-        assert delta_general_closed(s * data) == pytest.approx(
-            s**4 * delta_general_closed(data), rel=1e-12
+        assert delta_closed(s * data, GENERAL) == pytest.approx(
+            s**4 * delta_closed(data, GENERAL), rel=1e-12
         )
-        assert delta_degen_closed(s * data) == pytest.approx(
-            s**4 * delta_degen_closed(data), rel=1e-12
+        assert delta_closed(s * data, DEGENERATE) == pytest.approx(
+            s**4 * delta_closed(data, DEGENERATE), rel=1e-12
         )
 
     def test_degen_matches_gram_route(self):
@@ -117,15 +122,16 @@ class TestClosedForms:
         from ushrink import shrink_covop_degen
 
         report = shrink_covop_degen(gram(KernelSpec.linear(), data))
-        assert report.delta_hat == pytest.approx(delta_degen_closed(data), rel=1e-10)
+        assert report.delta_hat == pytest.approx(delta_closed(data, DEGENERATE),
+                                                 rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_samples_refused(self, n):
         data = np.ones((n, 2))
         with pytest.raises(InsufficientSampleError):
-            delta_general_closed(data)
+            delta_closed(data, GENERAL)
         with pytest.raises(InsufficientSampleError):
-            delta_degen_closed(data)
+            delta_closed(data, DEGENERATE)
 
 
 class TestDistSqIdentity:
@@ -207,8 +213,8 @@ class TestShrinkCovMatrix:
             base.report.delta_hat, rel=1e-10
         )
         assert moved.report.dist_sq == pytest.approx(base.report.dist_sq, rel=1e-10)
-        assert delta_degen_closed(data + shift) == pytest.approx(
-            delta_degen_closed(data), rel=1e-10
+        assert delta_closed(data + shift, DEGENERATE) == pytest.approx(
+            delta_closed(data, DEGENERATE), rel=1e-10
         )
 
     def test_rotation_invariance_of_scalars(self):
@@ -216,11 +222,11 @@ class TestShrinkCovMatrix:
         data = rng.normal(size=(6, 3))
         q = random_orthogonal(rng, 3)
         rotated = data @ q.T
-        assert delta_general_closed(rotated) == pytest.approx(
-            delta_general_closed(data), rel=1e-10
+        assert delta_closed(rotated, GENERAL) == pytest.approx(
+            delta_closed(data, GENERAL), rel=1e-10
         )
-        assert delta_degen_closed(rotated) == pytest.approx(
-            delta_degen_closed(data), rel=1e-10
+        assert delta_closed(rotated, DEGENERATE) == pytest.approx(
+            delta_closed(data, DEGENERATE), rel=1e-10
         )
         for tau in (0.0, 1.0):
             assert dist_sq_identity(rotated, tau) == pytest.approx(

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from ushrink import (
+    DEGENERATE,
+    GENERAL,
     InsufficientSampleError,
     KernelSpec,
     TargetSpec,
@@ -13,18 +16,20 @@ from ushrink import (
     covop_overlap_products,
     delta_degen,
     delta_general,
-    delta_degen_closed,
-    delta_general_closed,
     dual_norm_sq,
     evaluate_mean,
     gram,
     kernel_function,
     mean_overlap_products,
+    shrink_cov_matrix,
     shrink_covop,
     shrink_covop_degen,
     shrink_mean,
 )
-from ushrink.shrinkage import clamped_alpha
+from ushrink.shrinkage import _report, clamped_alpha
+
+# finite doubles, subnormals and both zeros included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 LINEAR = KernelSpec.linear()
 ALL_SPECS = [LINEAR, KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
@@ -50,14 +55,48 @@ class TestAlphaFrom:
     def test_zero_over_zero(self):
         assert alpha_from(0.0, 0.0) == (0.0, 0.0)
 
-    def test_clamped_alpha_matches_elementwise(self):
-        # the array form used by batched Monte Carlo replication
-        vals = [0.0, -0.0, 1e-300, 0.3, 1.0, 7.5, -0.1, -2.0, math.inf, math.nan]
-        delta, dist_sq = (np.array(v) for v in zip(*[(a, b) for a in vals for b in vals]))
-        with np.errstate(invalid="ignore"):
-            got = clamped_alpha(delta, dist_sq)
-        want = [alpha_from(a, b)[1] for a, b in zip(delta.tolist(), dist_sq.tolist())]
-        assert got.tolist() == want
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE, FINITE)
+    def test_alpha_is_clamped_raw(self, delta, dist_sq):
+        assume(math.isfinite(delta + dist_sq))
+        raw, alpha = alpha_from(delta, dist_sq)
+        assert 0.0 <= alpha <= 1.0
+        assert alpha == np.clip(raw, 0.0, 1.0)
+
+    @given(FINITE)
+    def test_zero_denominator_gives_zero(self, delta):
+        assert alpha_from(delta, -delta) == (0.0, 0.0)
+        assert clamped_alpha(np.array([delta]), np.array([-delta])).tolist() == [0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
+    # numpy's fmax keeps -0.0 on its SIMD path, which needs a longer array
+    @example([(-0.0, 2.0)] * 8)
+    def test_clamped_alpha_matches_elementwise(self, pairs):
+        # the array form used by batched Monte Carlo replication, bit for bit
+        pairs = [(d, s) for d, s in pairs if math.isfinite(d + s)]
+        assume(pairs)
+        delta, dist_sq = (np.array(v) for v in zip(*pairs))
+        got = clamped_alpha(delta, dist_sq)
+        want = np.array([alpha_from(d, s)[1] for d, s in pairs])
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("delta, dist_sq", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (-math.inf, 1.0), (1.0, -math.inf), (1e308, 1e308),
+    ])
+    def test_non_finite_denominator_raises(self, delta, dist_sq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                alpha_from(delta, dist_sq)
+            with pytest.raises(ValueError, match="overflow"):
+                _report(GENERAL, delta, dist_sq)
+            with pytest.raises(ValueError, match=r"overflow.*delta_hat=1e\+308"):
+                clamped_alpha(np.array([0.5, 1e308, delta]),
+                              np.array([1.0, 1e308, dist_sq]))
+            with pytest.raises(ValueError, match="overflow"):
+                clamped_alpha(np.array([1.0, delta]), np.array([2.0, dist_sq]))
 
 
 class TestDeltaGeneral:
@@ -76,7 +115,8 @@ class TestDeltaGeneral:
         data = random_data(rng, 6, 3)
         overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
         val = delta_general(overlaps, disjoint, data, 2)
-        assert val == pytest.approx(delta_general_closed(data), rel=1e-9)
+        closed = shrink_cov_matrix(data, variant=GENERAL).report.delta_hat
+        assert val == pytest.approx(closed, rel=1e-9)
 
     def test_insufficient_sample(self):
         overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
@@ -109,7 +149,8 @@ class TestDeltaDegen:
         data = random_data(rng, 6, 3)
         overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
         val = delta_degen(overlaps[1], disjoint, data, 2)
-        assert val == pytest.approx(delta_degen_closed(data), rel=1e-9)
+        closed = shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat
+        assert val == pytest.approx(closed, rel=1e-9)
 
 
 class TestShrinkMean:
@@ -189,7 +230,8 @@ class TestShrinkCovop:
         rng = np.random.default_rng(14)
         data = random_data(rng, 6, 3)
         report = shrink_covop(gram(LINEAR, data))
-        assert report.delta_hat == pytest.approx(delta_general_closed(data), rel=1e-10)
+        closed = shrink_cov_matrix(data, variant=GENERAL).report.delta_hat
+        assert report.delta_hat == pytest.approx(closed, rel=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_matches_brute_force(self, spec):
@@ -344,18 +386,16 @@ class TestInvariants:
         assert d["variant"] == "general"
 
     def test_declared_symmetry_holds(self):
-        # spot-check the symmetric flags of the built-in product families
+        # the built-in products that are symmetric in their arguments
         rng = np.random.default_rng(33)
         x, y = rng.normal(size=(2, 3))
         for spec in ALL_SPECS:
             fn = kernel_function(spec)
             _, mean_disjoint = mean_overlap_products(fn)
-            assert mean_disjoint.symmetric
             assert mean_disjoint.body(x, y) == pytest.approx(
                 mean_disjoint.body(y, x), rel=1e-12
             )
             cov_overlaps, _ = covop_overlap_products(fn)
-            assert cov_overlaps[1].symmetric
             assert cov_overlaps[1].body(x, y) == pytest.approx(
                 cov_overlaps[1].body(y, x), rel=1e-12
             )

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ class TestSample:
             sample(DistSpec.spherical_gaussian([0.0], 1.0), 0, 1)
         with pytest.raises(ParameterError):
             sample(DistSpec.spherical_gaussian([0.0], 1.0), 3, -1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DistSpec.spherical_gaussian([math.nan, 0.0, 0.0], 1.0),
+        lambda: DistSpec.spherical_gaussian([0.0], math.inf),
+        lambda: DistSpec.uniform_box([-math.inf, 0.0], [0.0, 1.0]),
+        lambda: DistSpec.uniform_box([-1e308], [1e308]),  # hi - lo overflows
+        lambda: DistSpec.diag_gaussian([0.0, 0.0], [1.0, math.inf]),
+        lambda: DistSpec.diag_gaussian([0.0], [1e200]),  # sigma^2 overflows
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite"):
+                make()
 
 
 class TestKernelMoments:
@@ -242,6 +257,16 @@ class TestRateSlope:
     def test_nonpositive_rejected(self):
         with pytest.raises(ParameterError):
             rate_slope([(10, 1.0), (100, 0.0), (1000, 0.01)])
+
+    @pytest.mark.parametrize("points", [
+        [(10, math.nan), (20, 1.0), (40, 0.5)],
+        [(10, 1.0), (20, math.inf), (40, 0.5)],
+        [(math.nan, 1.0), (20, 1.0), (40, 0.5)],
+        [(10, 1.0), (20, 1.0), (math.inf, 0.5)],
+    ])
+    def test_non_finite_rejected(self, points):
+        with pytest.raises(ParameterError, match="finite"):
+            rate_slope(points)
 
 
 class TestExperiments:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,48 +11,10 @@ from ushrink import (
     ParameterError,
     comb_weights,
     u_stat_perm,
-    u_stat_sym,
 )
 from ushrink.ustat import enumeration_limit
 
-IDENTITY = EvalFn(order=1, body=lambda x: float(x), symmetric=True)
-PRODUCT = EvalFn(order=2, body=lambda x, y: float(x * y), symmetric=True)
-
-
-class TestUStatSym:
-    def test_sample_mean(self):
-        assert u_stat_sym(IDENTITY, [1.0, 2.0, 3.0], 1) == 2.0
-
-    def test_pairwise_product(self):
-        # (1*2 + 1*3 + 2*3) / 3
-        assert u_stat_sym(PRODUCT, [1.0, 2.0, 3.0], 2) == pytest.approx(11 / 3, rel=1e-15)
-
-    def test_constant(self):
-        g = EvalFn(order=2, body=lambda x, y: 5.0, symmetric=True)
-        assert u_stat_sym(g, [7.0, 8.0, 9.0, 10.0], 2) == 5.0
-
-    def test_requires_symmetric(self):
-        g = EvalFn(order=2, body=lambda x, y: x - y, symmetric=False)
-        with pytest.raises(ContractError):
-            u_stat_sym(g, [1.0, 2.0], 2)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ContractError):
-            u_stat_sym(PRODUCT, [1.0, 2.0, 3.0], 1)
-
-    def test_insufficient_sample(self):
-        with pytest.raises(InsufficientSampleError):
-            u_stat_sym(PRODUCT, [1.0], 2)
-
-    def test_unbiased_for_centered_product(self):
-        # E[xy] = 0 for independent standard normals; Monte Carlo mean of the
-        # estimator over 1e5 draws of n=6 must sit within 4 standard errors.
-        rng = np.random.default_rng(2024)
-        reps = 10**5
-        draws = rng.standard_normal((reps, 6))
-        vals = np.array([u_stat_sym(PRODUCT, row, 2) for row in draws])
-        se = vals.std(ddof=1) / math.sqrt(reps)
-        assert abs(vals.mean()) < 4 * se
+PRODUCT = EvalFn(order=2, body=lambda x, y: float(x * y))
 
 
 class TestUStatPerm:
@@ -73,6 +34,10 @@ class TestUStatPerm:
         with pytest.raises(InsufficientSampleError):
             u_stat_perm(PRODUCT, [1.0], 2)
 
+    def test_order_mismatch(self):
+        with pytest.raises(ContractError):
+            u_stat_perm(PRODUCT, [1.0, 2.0, 3.0], 1)
+
     def test_limit_reports_required_count(self, monkeypatch):
         monkeypatch.setenv("USHRINK_ENUM_LIMIT", "10")
         with pytest.raises(EnumerationLimitError) as exc:
@@ -83,9 +48,11 @@ class TestUStatPerm:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=8))
     def test_perm_equals_sym_for_symmetric_kernel(self, data):
-        a = u_stat_sym(PRODUCT, data, 2)
-        b = u_stat_perm(PRODUCT, data, 2)
-        assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+        # the combination average of x*y, in closed form
+        n = len(data)
+        closed = (math.fsum(data) ** 2 - math.fsum(x * x for x in data)) / (n * (n - 1))
+        assert u_stat_perm(PRODUCT, data, 2) == pytest.approx(closed, rel=1e-12,
+                                                              abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.permutations(list(range(6))))
@@ -95,9 +62,6 @@ class TestUStatPerm:
         g = EvalFn(order=2, body=lambda x, y: float(x * x * y))
         assert u_stat_perm(g, shuffled, 2) == pytest.approx(
             u_stat_perm(g, base, 2), rel=1e-12
-        )
-        assert u_stat_sym(PRODUCT, shuffled, 2) == pytest.approx(
-            u_stat_sym(PRODUCT, base, 2), rel=1e-12
         )
 
 
