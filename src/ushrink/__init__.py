@@ -10,7 +10,6 @@ Monte Carlo harness for measuring the risk improvement.
 
 from .errors import (
     CapabilityError,
-    ContractError,
     EnumerationLimitError,
     EstimationError,
     InsufficientSampleError,
@@ -24,7 +23,7 @@ from .kernels import (
     kernel_function,
     load_gram_csv,
 )
-from .ustat import EvalFn, comb_weights, u_stat_perm
+from .ustat import comb_weights, u_stat_perm
 from .shrinkage import (
     DEGENERATE,
     GENERAL,
@@ -32,12 +31,12 @@ from .shrinkage import (
     ShrinkageReport,
     TargetSpec,
     alpha_from,
-    covop_overlap_products,
+    covop_inner,
     delta_degen,
     delta_general,
     dual_norm_sq,
     evaluate_mean,
-    mean_overlap_products,
+    mean_inner,
     shrink_covop,
     shrink_covop_degen,
     shrink_mean,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError",
-    "ContractError",
     "CovShrinkResult",
     "DEGENERATE",
     "DistSpec",
@@ -82,7 +80,6 @@ __all__ = [
     "EnumerationLimitError",
     "EstimationError",
     "EstimatorSpec",
-    "EvalFn",
     "GENERAL",
     "GramMatrix",
     "InsufficientSampleError",
@@ -96,7 +93,7 @@ __all__ = [
     "alpha_from",
     "as_dataset",
     "comb_weights",
-    "covop_overlap_products",
+    "covop_inner",
     "default_c",
     "delta_degen",
     "delta_general",
@@ -111,7 +108,7 @@ __all__ = [
     "load_gram_csv",
     "mc_detail",
     "mc_risk",
-    "mean_overlap_products",
+    "mean_inner",
     "mu_check",
     "mu_check_c",
     "oracle_alpha",

@@ -9,10 +9,6 @@ class InsufficientSampleError(EstimationError, ValueError):
     """Too few observations for the requested estimator."""
 
 
-class ContractError(EstimationError, ValueError):
-    """A declared property of a caller-supplied object does not hold."""
-
-
 class ParameterError(EstimationError, ValueError):
     """A parameter lies outside its admissible range."""
 

@@ -18,10 +18,10 @@ from .kernels import KernelSpec, gram, kernel_function
 from .shrinkage import (
     DEGENERATE,
     GENERAL,
-    covop_overlap_products,
+    covop_inner,
     delta_degen,
     delta_general,
-    mean_overlap_products,
+    mean_inner,
     shrink_covop,
     shrink_covop_degen,
     shrink_mean,
@@ -83,15 +83,14 @@ def check_moment_identities(seed: int = 0) -> SuiteResult:
 def check_closed_forms(seed: int = 1) -> SuiteResult:
     """Covariance closed forms vs the enumeration engine, linear kernel."""
     rng = np.random.default_rng(seed)
-    linear = kernel_function(KernelSpec.linear())
-    overlaps, disjoint = covop_overlap_products(linear)
+    inner = covop_inner(kernel_function(KernelSpec.linear()))
 
     def pairs():
         for data in _datasets(rng, (4, 5, 6), (1, 3)):
             yield (covmat.shrink_cov_matrix(data, variant=GENERAL).report.delta_hat,
-                   delta_general(overlaps, disjoint, data, 2))
+                   delta_general(inner, data, 2))
             yield (covmat.shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat,
-                   delta_degen(overlaps[1], disjoint, data, 2))
+                   delta_degen(inner, data, 2))
 
     return _suite("closed-forms-vs-enumeration", pairs(), CLOSED_FORM_TOL)
 
@@ -107,15 +106,14 @@ def check_gram_forms(seed: int = 2) -> SuiteResult:
             for spec in specs:
                 fn = kernel_function(spec)
                 g = gram(spec, data)
-                mean_overlaps, mean_disjoint = mean_overlap_products(fn)
-                cov_overlaps, cov_disjoint = covop_overlap_products(fn)
+                cov = covop_inner(fn)
                 _, mean_report = shrink_mean(g)
                 yield (mean_report.delta_hat,
-                       delta_general(mean_overlaps, mean_disjoint, data, 1))
+                       delta_general(mean_inner(fn), data, 1))
                 yield (shrink_covop(g).delta_hat,
-                       delta_general(cov_overlaps, cov_disjoint, data, 2))
+                       delta_general(cov, data, 2))
                 yield (shrink_covop_degen(g).delta_hat,
-                       delta_degen(cov_overlaps[1], cov_disjoint, data, 2))
+                       delta_degen(cov, data, 2))
 
     return _suite("gram-forms-vs-enumeration", pairs(), GRAM_TOL)
 

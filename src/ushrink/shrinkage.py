@@ -8,8 +8,9 @@ with the plug-in coefficient
 
 where delta_hat estimates the risk E||C_hat - C||^2.  This module provides
 
-* generic enumeration-based risk estimators for U-statistics of any order,
-  driven by caller-supplied inner-product evaluation functions;
+* generic enumeration-based risk estimators for U-statistics of any order
+  k, driven by the estimand's inner product ``inner(xs, ys)`` on two k-tuples
+  of points (``mean_inner`` and ``covop_inner`` build the two used here);
 * closed Gram-matrix forms for the two cases used in practice: the kernel
   mean embedding (order 1) and the kernel covariance operator (order 2,
   zero target), in both the general and the degenerate variant;
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import InsufficientSampleError
 from .kernels import GramMatrix, KernelSpec, as_dataset, kernel_function
-from .ustat import EvalFn, comb_weights, u_stat_perm
+from .ustat import comb_weights, u_stat_perm
 
 GENERAL = "general"
 DEGENERATE = "degenerate"
@@ -158,104 +159,64 @@ def _entries(gram) -> np.ndarray:
 # generic enumeration-based risk estimators
 # ---------------------------------------------------------------------------
 
-def delta_general(
-    overlap_products: Sequence[EvalFn],
-    disjoint_product: EvalFn,
-    data,
-    k: int,
-) -> float:
-    """Unbiased risk estimate of an order-k U-statistic via overlap products.
+Inner = Callable[[Sequence, Sequence], float]
 
-    ``overlap_products[i-1]`` (i = 1..k) must evaluate the inner product of
-    the estimand kernel on two argument blocks sharing their first ``i``
-    points, hence has order 2k - i; ``disjoint_product`` evaluates it on
-    disjoint blocks (order 2k).  The estimate combines permutation
-    U-statistics of these products with hypergeometric weights.
+
+def _shared_u(inner: Inner, data, k: int, i: int) -> float:
+    """U-statistic of <h(block1), h(block2)> over order-k blocks sharing i points.
+
+    On a (2k - i)-tuple p the blocks are p[:k] and p[:i] + p[k:]; i = 0 gives
+    disjoint blocks and i = k the same block twice.
     """
-    n = len(data)
-    if n < 2 * k:
-        raise InsufficientSampleError(f"need n >= 2k, got n={n}, k={k}")
-    if len(overlap_products) != k:
-        raise ValueError(
-            f"expected {k} overlap products, got {len(overlap_products)}"
-        )
-    for i, fn in enumerate(overlap_products, start=1):
-        if fn.order != 2 * k - i:
-            raise ValueError(
-                f"overlap product sharing {i} points must have order "
-                f"{2 * k - i}, got {fn.order}"
-            )
-    if disjoint_product.order != 2 * k:
-        raise ValueError(
-            f"disjoint product must have order {2 * k}, got {disjoint_product.order}"
-        )
-    w = comb_weights(n, k)
-    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k)
+    return u_stat_perm(lambda *p: inner(p[:k], p[:i] + p[k:]), data, 2 * k - i)
+
+
+def delta_general(inner: Inner, data, k: int) -> float:
+    """Unbiased risk estimate of an order-k U-statistic by exact enumeration.
+
+    ``inner(xs, ys)`` is the inner product <h(xs), h(ys)> of the estimand
+    kernel h on two k-tuples of points.  The estimate weights the differences
+    between the overlap U-statistics (blocks sharing i = 1..k points) and the
+    disjoint one with the hypergeometric weights ``comb_weights(n, k)``.
+    """
+    w = comb_weights(len(data), k)
+    u_disjoint = _shared_u(inner, data, k, 0)
     return math.fsum(
-        w[i] * (u_stat_perm(overlap_products[i - 1], data, 2 * k - i) - u_disjoint)
-        for i in range(1, k + 1)
+        w[i] * (_shared_u(inner, data, k, i) - u_disjoint) for i in range(1, k + 1)
     )
 
 
-def delta_degen(
-    self_product: EvalFn,
-    disjoint_product: EvalFn,
-    data,
-    k: int,
-) -> float:
+def delta_degen(inner: Inner, data, k: int) -> float:
     """Two-term risk estimate assuming a completely degenerate centered kernel.
 
-    Equals ``delta_general`` when k = 1; for k >= 2 it trades a small bias
-    outside the degenerate regime for a fixed number of terms.
+    Keeps the self (i = k) and disjoint terms of ``delta_general``.  Equals it
+    when k = 1; for k >= 2 it trades a small bias outside the degenerate
+    regime for a fixed number of terms.
     """
-    n = len(data)
-    if n < 2 * k:
-        raise InsufficientSampleError(f"need n >= 2k, got n={n}, k={k}")
-    if self_product.order != k:
-        raise ValueError(
-            f"self product must have order {k}, got {self_product.order}"
-        )
-    if disjoint_product.order != 2 * k:
-        raise ValueError(
-            f"disjoint product must have order {2 * k}, got {disjoint_product.order}"
-        )
-    u_self = u_stat_perm(self_product, data, k)
-    u_disjoint = u_stat_perm(disjoint_product, data, 2 * k)
-    return (u_self - u_disjoint) / math.comb(n, k)
+    u_disjoint = _shared_u(inner, data, k, 0)
+    return (_shared_u(inner, data, k, k) - u_disjoint) / math.comb(len(data), k)
 
 
-def mean_overlap_products(
-    kernel_fn: Callable[[np.ndarray, np.ndarray], float],
-) -> tuple[list[EvalFn], EvalFn]:
-    """Overlap/disjoint products for the mean embedding (order 1)."""
-    shared = EvalFn(order=1, body=lambda x: kernel_fn(x, x))
-    disjoint = EvalFn(order=2, body=kernel_fn)
-    return [shared], disjoint
+def mean_inner(kernel_fn: Callable[[np.ndarray, np.ndarray], float]) -> Inner:
+    """Inner product for the mean embedding (order 1): K(x, y)."""
+    return lambda xs, ys: kernel_fn(xs[0], ys[0])
 
 
-def covop_overlap_products(
-    kernel_fn: Callable[[np.ndarray, np.ndarray], float],
-) -> tuple[list[EvalFn], EvalFn]:
-    """Overlap/disjoint products for the covariance operator (order 2).
+def covop_inner(kernel_fn: Callable[[np.ndarray, np.ndarray], float]) -> Inner:
+    """Inner product for the covariance operator (order 2).
 
-    The estimand kernel maps a pair (x, y) to the rank-one operator built
-    from the difference of their kernel sections; inner products of two such
-    operators reduce to squared four-point kernel differences.
+    The estimand kernel maps a pair (x1, x2) to the rank-one operator
+    h = (phi(x1) - phi(x2)) (x) (phi(x1) - phi(x2)) / 2, so <h(x1, x2),
+    h(x3, x4)> = (K13 - K14 - K23 + K24)^2 / 4 with Kij = K(xi, xj).
     """
 
-    def pair_product(x1, x2, x3, x4) -> float:
-        diff = (
-            kernel_fn(x1, x3)
-            - kernel_fn(x1, x4)
-            - kernel_fn(x2, x3)
-            + kernel_fn(x2, x4)
-        )
+    def inner(xs, ys) -> float:
+        (x1, x2), (x3, x4) = xs, ys
+        diff = (kernel_fn(x1, x3) - kernel_fn(x1, x4)
+                - kernel_fn(x2, x3) + kernel_fn(x2, x4))
         return 0.25 * diff * diff
 
-    share_one = EvalFn(order=3, body=lambda a, b, c: pair_product(a, b, a, c))
-    share_two = EvalFn(order=2, body=lambda a, b: pair_product(a, b, a, b))
-    disjoint = EvalFn(order=4, body=pair_product)
-    return [share_one, share_two], disjoint
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +278,12 @@ def shrink_mean(
             raise ValueError(
                 f"target_gram must be {coef.shape[0]} square, got {tg.shape}"
             )
-        cross_term = float(cross.sum(axis=0) @ coef)
-        norm_target = float(coef @ tg @ coef)
+        for name, block in (("cross_gram", cross), ("target_gram", tg)):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} has non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross_term = float(cross.sum(axis=0) @ coef)
+            norm_target = float(coef @ tg @ coef)
         dist_sq = mean_all - (2.0 / n) * cross_term + norm_target
 
     report = _report(GENERAL, delta, dist_sq)

@@ -78,7 +78,7 @@ MIN_REPS = 100
 # distribution kind -> spec -> (mean, coordinate variances, scale, shift,
 # Generator method): X = shift + scale * Z for Z drawn by the method
 _DIST_MAPS = {
-    SPHERICAL_GAUSSIAN: lambda s: (s.mu, np.full(s.mu.shape, s.sigma**2),
+    SPHERICAL_GAUSSIAN: lambda s: (s.mu, np.full(s.mu.shape, np.square(s.sigma)),
                                    s.sigma, s.mu, "standard_normal"),
     DIAG_GAUSSIAN: lambda s: (s.mu, s.sigmas**2, s.sigmas, s.mu, "standard_normal"),
     UNIFORM_BOX: lambda s: ((s.lo + s.hi) / 2.0, (s.hi - s.lo) ** 2 / 12.0,

@@ -1,8 +1,8 @@
 """Exact enumeration of permutation U-statistics.
 
-A desk-scale oracle path: the average of a caller-supplied evaluation function
-over all ordered injective index tuples, in fixed lexicographic order, with exact
-(Shewchuk) summation.  Factorial growth is held in check by one tuple
+A desk-scale oracle path: the average of a caller-supplied function of m data
+points over all ordered injective index tuples, in fixed lexicographic order,
+with exact (Shewchuk) summation.  Factorial growth is held in check by one tuple
 budget, the ``USHRINK_ENUM_LIMIT`` environment variable (default 10^7), read
 at each call: an enumeration longer than the budget raises
 ``EnumerationLimitError`` before it starts.
@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
-from .errors import (
-    ContractError,
-    EnumerationLimitError,
-    InsufficientSampleError,
-    ParameterError,
-)
+from .errors import EnumerationLimitError, InsufficientSampleError, ParameterError
 
 ENUM_LIMIT_ENV = "USHRINK_ENUM_LIMIT"
 DEFAULT_ENUM_LIMIT = 10**7
@@ -44,14 +38,6 @@ def enumeration_limit() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class EvalFn:
-    """A real-valued evaluation function of ``order`` data points."""
-
-    order: int
-    body: Callable[..., float]
-
-
 def comb_weights(n: int, k: int) -> tuple[float, ...]:
     """Weights of the variance decomposition of an order-k U-statistic.
 
@@ -68,10 +54,10 @@ def comb_weights(n: int, k: int) -> tuple[float, ...]:
                  for i in range(k + 1))
 
 
-def u_stat_perm(g: EvalFn, data, m: int) -> float:
-    """Average ``g`` over all P(n,m) ordered injective index tuples."""
-    if g.order != m:
-        raise ContractError(f"evaluation function has order {g.order}, expected {m}")
+def u_stat_perm(fn: Callable[..., float], data, m: int) -> float:
+    """Average ``fn(*points)`` over all P(n,m) ordered injective m-tuples."""
+    if m < 1:
+        raise ParameterError(f"order m must be >= 1, got {m}")
     n = len(data)
     if n < m:
         raise InsufficientSampleError(f"need at least {m} observations, got {n}")
@@ -79,8 +65,7 @@ def u_stat_perm(g: EvalFn, data, m: int) -> float:
     budget = enumeration_limit()
     if count > budget:
         raise EnumerationLimitError(required=count, limit=budget)
-    body = g.body
     total = math.fsum(
-        body(*(data[i] for i in idx)) for idx in permutations(range(n), m)
+        fn(*(data[i] for i in idx)) for idx in permutations(range(n), m)
     )
     return total / count

@@ -16,13 +16,13 @@ from ushrink import (
     DistSpec,
     EstimatorSpec,
     KernelSpec,
-    covop_overlap_products,
+    covop_inner,
     delta_degen,
     delta_general,
     gram,
     kernel_function,
     mc_risk,
-    mean_overlap_products,
+    mean_inner,
     oracle_alpha,
     rate_slope,
     sample,
@@ -65,7 +65,7 @@ def test_criterion_1_moment_identities(criterion):
 def test_criterion_2_closed_forms_vs_enumeration(criterion):
     start = time.time()
     rng = np.random.default_rng(20250802)
-    overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
+    inner = covop_inner(kernel_function(LINEAR))
     worst = 0.0
     for i in range(20):
         n = 4 + i % 5
@@ -73,11 +73,11 @@ def test_criterion_2_closed_forms_vs_enumeration(criterion):
         data = rng.uniform(-2.0, 2.0, size=(n, d))
         worst = max(worst, oracles.rel_err(
             shrink_cov_matrix(data, variant=GENERAL).report.delta_hat,
-            delta_general(overlaps, disjoint, data, 2),
+            delta_general(inner, data, 2),
         ))
         worst = max(worst, oracles.rel_err(
             shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat,
-            delta_degen(overlaps[1], disjoint, data, 2),
+            delta_degen(inner, data, 2),
         ))
     elapsed = time.time() - start
     ok = worst <= 1e-8 and elapsed < 60.0
@@ -93,23 +93,22 @@ def test_criterion_3_gram_forms_vs_enumeration(criterion):
     worst = 0.0
     for spec in ALL_SPECS:
         fn = kernel_function(spec)
-        mean_fns = mean_overlap_products(fn)
-        cov_fns = covop_overlap_products(fn)
+        mean_fn, cov_fn = mean_inner(fn), covop_inner(fn)
         for n in range(4, 9):
             data = rng.uniform(-2.0, 2.0, size=(n, 2))
             g = gram(spec, data)
             _, mean_report = shrink_mean(g)
             worst = max(worst, oracles.rel_err(
                 mean_report.delta_hat,
-                delta_general(mean_fns[0], mean_fns[1], data, 1),
+                delta_general(mean_fn, data, 1),
             ))
             worst = max(worst, oracles.rel_err(
                 shrink_covop(g).delta_hat,
-                delta_general(cov_fns[0], cov_fns[1], data, 2),
+                delta_general(cov_fn, data, 2),
             ))
             worst = max(worst, oracles.rel_err(
                 shrink_covop_degen(g).delta_hat,
-                delta_degen(cov_fns[0][1], cov_fns[1], data, 2),
+                delta_degen(cov_fn, data, 2),
             ))
         # order-1 estimators are defined down to n = 2
         for n in (2, 3):
@@ -117,7 +116,7 @@ def test_criterion_3_gram_forms_vs_enumeration(criterion):
             _, mean_report = shrink_mean(gram(spec, data))
             worst = max(worst, oracles.rel_err(
                 mean_report.delta_hat,
-                delta_general(mean_fns[0], mean_fns[1], data, 1),
+                delta_general(mean_fn, data, 1),
             ))
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 60.0
@@ -285,3 +284,34 @@ def test_criterion_10_cross_module_consistency(criterion):
               f"worst rel err {worst:.2e}, {elapsed:.2f}s")
     assert worst <= 1e-9
     assert elapsed < 10.0
+
+
+def test_criterion_11_degenerate_variant_consistent(criterion):
+    # The paper's headline claim: the shrinkage estimator built for a
+    # completely degenerate kernel stays consistent when the kernel is not
+    # degenerate.  The linear-kernel covariance is such a case; its shrunk
+    # risk must still decay at rate 1/n and the coefficient fall toward 0.
+    start = time.time()
+    dist = DistSpec.diag_gaussian(np.zeros(5), [2.0, 1.5, 1.0, 0.7, 0.5])
+    ests = (EstimatorSpec.cov_mat_shrink(tau=1.0, variant=DEGENERATE),
+            EstimatorSpec.cov_mat_plain())
+    reps, seed = 2000, 12345
+    ns = (10, 20, 40, 80, 160)
+    risks, plain_risks, median_alphas = [], [], []
+    for n in ns:
+        errs, alphas = mc_detail(ests, dist, n, reps, seed)
+        risks.append(summarize_errors(errs[0], reps, seed).mean_sq_error)
+        plain_risks.append(summarize_errors(errs[1], reps, seed).mean_sq_error)
+        median_alphas.append(float(np.median(alphas[0])))
+    slope = rate_slope(zip(ns, risks))
+    plain_slope = rate_slope(zip(ns, plain_risks))
+    elapsed = time.time() - start
+    ok = (-1.25 <= slope <= -0.75 and median_alphas[-1] < median_alphas[0]
+          and elapsed < 60.0)
+    criterion(11, "degenerate variant consistent, linear kernel", ok,
+              f"slope {slope:.3f} in [-1.25, -0.75] (plain {plain_slope:.3f}); "
+              f"median alpha {median_alphas[0]:.4f} at n={ns[0]} -> "
+              f"{median_alphas[-1]:.4f} at n={ns[-1]}, {elapsed:.1f}s")
+    assert -1.25 <= slope <= -0.75
+    assert median_alphas[-1] < median_alphas[0]
+    assert elapsed < 60.0

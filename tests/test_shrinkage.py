@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,20 +12,22 @@ from ushrink import (
     GENERAL,
     InsufficientSampleError,
     KernelSpec,
+    ParameterError,
     TargetSpec,
     alpha_from,
-    covop_overlap_products,
+    covop_inner,
     delta_degen,
     delta_general,
     dual_norm_sq,
     evaluate_mean,
     gram,
     kernel_function,
-    mean_overlap_products,
+    mean_inner,
     shrink_cov_matrix,
     shrink_covop,
     shrink_covop_degen,
     shrink_mean,
+    u_stat_perm,
 )
 from ushrink.shrinkage import _report, clamped_alpha
 
@@ -102,53 +105,70 @@ class TestAlphaFrom:
 class TestDeltaGeneral:
     def test_order_one_linear(self):
         data = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        overlaps, disjoint = mean_overlap_products(kernel_function(LINEAR))
-        assert delta_general(overlaps, disjoint, data, 1) == pytest.approx(1.0)
+        inner = mean_inner(kernel_function(LINEAR))
+        assert delta_general(inner, data, 1) == pytest.approx(1.0)
 
     def test_identical_points_vanish(self):
         data = np.tile([0.7, -0.2], (4, 1))
-        overlaps, disjoint = mean_overlap_products(kernel_function(LINEAR))
-        assert delta_general(overlaps, disjoint, data, 1) == pytest.approx(0.0, abs=1e-14)
+        inner = mean_inner(kernel_function(LINEAR))
+        assert delta_general(inner, data, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_order_two_matches_closed_form(self):
         rng = np.random.default_rng(11)
         data = random_data(rng, 6, 3)
-        overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
-        val = delta_general(overlaps, disjoint, data, 2)
+        val = delta_general(covop_inner(kernel_function(LINEAR)), data, 2)
         closed = shrink_cov_matrix(data, variant=GENERAL).report.delta_hat
         assert val == pytest.approx(closed, rel=1e-9)
 
+    def test_order_three_exactly_unbiased(self):
+        # h(x1, x2, x3) = x1 x2 x3 on a two-point law: the expectation of the
+        # estimate over all 2^n samples equals the exact risk E(U - theta)^2
+        a, b, p, n = -1.0, 2.0, 0.3, 6
+
+        def inner(xs, ys):
+            return math.prod(xs) * math.prod(ys)
+
+        theta = (p * a + (1 - p) * b) ** 3
+        risk, mean_delta = [], []
+        for bits in itertools.product((0, 1), repeat=n):
+            data = [a if bit else b for bit in bits]
+            hits = sum(bits)
+            prob = p**hits * (1 - p) ** (n - hits)
+            u = u_stat_perm(lambda x, y, z: x * y * z, data, 3)
+            risk.append(prob * (u - theta) ** 2)
+            mean_delta.append(prob * delta_general(inner, data, 3))
+        assert math.fsum(mean_delta) == pytest.approx(math.fsum(risk), rel=1e-12)
+
     def test_insufficient_sample(self):
-        overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
         with pytest.raises(InsufficientSampleError):
-            delta_general(overlaps, disjoint, np.ones((3, 2)), 2)
+            delta_general(covop_inner(kernel_function(LINEAR)), np.ones((3, 2)), 2)
 
     def test_order_validation(self):
-        overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
-        with pytest.raises(ValueError, match="order"):
-            delta_general(overlaps[::-1], disjoint, np.ones((6, 2)), 2)
+        inner = mean_inner(kernel_function(LINEAR))
+        for fn in (delta_general, delta_degen):
+            with pytest.raises(ParameterError, match="order"):
+                fn(inner, np.ones((6, 2)), 0)
 
 
 class TestDeltaDegen:
     def test_order_one_equals_general(self):
         rng = np.random.default_rng(3)
-        overlaps, disjoint = mean_overlap_products(kernel_function(LINEAR))
+        inner = mean_inner(kernel_function(LINEAR))
         for n in (2, 4, 7):
             data = random_data(rng, n)
-            a = delta_general(overlaps, disjoint, data, 1)
-            b = delta_degen(overlaps[0], disjoint, data, 1)
+            a = delta_general(inner, data, 1)
+            b = delta_degen(inner, data, 1)
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_identical_points_vanish(self):
         data = np.tile([1.3, 0.4], (5, 1))
-        overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
-        assert delta_degen(overlaps[1], disjoint, data, 2) == pytest.approx(0.0, abs=1e-14)
+        inner = covop_inner(kernel_function(LINEAR))
+        assert delta_degen(inner, data, 2) == pytest.approx(0.0, abs=1e-14)
 
     def test_order_two_matches_closed_form(self):
         rng = np.random.default_rng(12)
         data = random_data(rng, 6, 3)
-        overlaps, disjoint = covop_overlap_products(kernel_function(LINEAR))
-        val = delta_degen(overlaps[1], disjoint, data, 2)
+        val = delta_degen(covop_inner(kernel_function(LINEAR)), data, 2)
         closed = shrink_cov_matrix(data, variant=DEGENERATE).report.delta_hat
         assert val == pytest.approx(closed, rel=1e-9)
 
@@ -203,6 +223,21 @@ class TestShrinkMean:
         with pytest.raises(ValueError, match="cross_gram"):
             shrink_mean(g, target)
 
+    @pytest.mark.parametrize("cross, tg, match", [
+        # finite entries whose column sums overflow float64
+        (np.full((3, 1), 1e308), [[1.0]], "overflow"),
+        (np.full((3, 1), math.inf), [[1.0]], "cross_gram has non-finite"),
+        (np.ones((3, 1)), [[math.nan]], "target_gram has non-finite"),
+    ])
+    def test_dual_target_blocks_guarded(self, cross, tg, match):
+        g = gram(LINEAR, [[1.0], [2.0], [0.5]])
+        target = TargetSpec.dual([[0.0]], [1.0])
+        with warnings.catch_warnings():
+            # the clean error alone, no numpy RuntimeWarning before it
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                shrink_mean(g, target, cross_gram=cross, target_gram=tg)
+
     def test_too_small(self):
         with pytest.raises(InsufficientSampleError):
             shrink_mean(gram(LINEAR, [[1.0, 2.0]]))
@@ -255,15 +290,15 @@ class TestShrinkCovop:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_matches_enumeration_engine(self, spec):
         rng = np.random.default_rng(16)
-        overlaps, disjoint = covop_overlap_products(kernel_function(spec))
+        inner = covop_inner(kernel_function(spec))
         for n in range(4, 9):
             data = random_data(rng, n)
             g = gram(spec, data)
             assert shrink_covop(g).delta_hat == pytest.approx(
-                delta_general(overlaps, disjoint, data, 2), rel=1e-9
+                delta_general(inner, data, 2), rel=1e-9
             )
             assert shrink_covop_degen(g).delta_hat == pytest.approx(
-                delta_degen(overlaps[1], disjoint, data, 2), rel=1e-9
+                delta_degen(inner, data, 2), rel=1e-9
             )
 
     def test_too_small(self):
@@ -386,16 +421,11 @@ class TestInvariants:
         assert d["variant"] == "general"
 
     def test_declared_symmetry_holds(self):
-        # the built-in products that are symmetric in their arguments
+        # an inner product is symmetric in its two blocks
         rng = np.random.default_rng(33)
-        x, y = rng.normal(size=(2, 3))
+        points = rng.normal(size=(4, 3))
         for spec in ALL_SPECS:
             fn = kernel_function(spec)
-            _, mean_disjoint = mean_overlap_products(fn)
-            assert mean_disjoint.body(x, y) == pytest.approx(
-                mean_disjoint.body(y, x), rel=1e-12
-            )
-            cov_overlaps, _ = covop_overlap_products(fn)
-            assert cov_overlaps[1].body(x, y) == pytest.approx(
-                cov_overlaps[1].body(y, x), rel=1e-12
-            )
+            for inner, k in ((mean_inner(fn), 1), (covop_inner(fn), 2)):
+                xs, ys = tuple(points[:k]), tuple(points[k:2 * k])
+                assert inner(xs, ys) == pytest.approx(inner(ys, xs), rel=1e-12)

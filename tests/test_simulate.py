@@ -67,6 +67,7 @@ class TestSample:
     @pytest.mark.parametrize("make", [
         lambda: DistSpec.spherical_gaussian([math.nan, 0.0, 0.0], 1.0),
         lambda: DistSpec.spherical_gaussian([0.0], math.inf),
+        lambda: DistSpec.spherical_gaussian([0.0], 1e200),  # sigma^2 overflows
         lambda: DistSpec.uniform_box([-math.inf, 0.0], [0.0, 1.0]),
         lambda: DistSpec.uniform_box([-1e308], [1e308]),  # hi - lo overflows
         lambda: DistSpec.diag_gaussian([0.0, 0.0], [1.0, math.inf]),

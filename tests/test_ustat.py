@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ushrink import (
-    ContractError,
     EnumerationLimitError,
-    EvalFn,
     InsufficientSampleError,
     ParameterError,
     comb_weights,
@@ -14,34 +12,39 @@ from ushrink import (
 )
 from ushrink.ustat import enumeration_limit
 
-PRODUCT = EvalFn(order=2, body=lambda x, y: float(x * y))
+
+def product(x, y):
+    return float(x * y)
+
+
+def asymmetric(x, y):
+    return float(x * x * y)
 
 
 class TestUStatPerm:
     def test_asymmetric_example(self):
-        g = EvalFn(order=2, body=lambda x, y: float(x * x * y))
-        assert u_stat_perm(g, [1.0, 2.0], 2) == 3.0
+        assert u_stat_perm(asymmetric, [1.0, 2.0], 2) == 3.0
 
     def test_matches_sym_for_symmetric(self):
         data = [1.0, 2.0, 3.0]
-        assert u_stat_perm(PRODUCT, data, 2) == pytest.approx(11 / 3, rel=1e-15)
+        assert u_stat_perm(product, data, 2) == pytest.approx(11 / 3, rel=1e-15)
 
     def test_single_point(self):
-        g = EvalFn(order=1, body=lambda x: float(x))
-        assert u_stat_perm(g, [4.0], 1) == 4.0
+        assert u_stat_perm(float, [4.0], 1) == 4.0
 
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSampleError):
-            u_stat_perm(PRODUCT, [1.0], 2)
+            u_stat_perm(product, [1.0], 2)
 
-    def test_order_mismatch(self):
-        with pytest.raises(ContractError):
-            u_stat_perm(PRODUCT, [1.0, 2.0, 3.0], 1)
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_order_below_one(self, m):
+        with pytest.raises(ParameterError):
+            u_stat_perm(product, [1.0, 2.0, 3.0], m)
 
     def test_limit_reports_required_count(self, monkeypatch):
         monkeypatch.setenv("USHRINK_ENUM_LIMIT", "10")
         with pytest.raises(EnumerationLimitError) as exc:
-            u_stat_perm(PRODUCT, list(range(6)), 2)
+            u_stat_perm(product, list(range(6)), 2)
         assert exc.value.required == math.perm(6, 2)
         assert exc.value.limit == 10
 
@@ -51,7 +54,7 @@ class TestUStatPerm:
         # the combination average of x*y, in closed form
         n = len(data)
         closed = (math.fsum(data) ** 2 - math.fsum(x * x for x in data)) / (n * (n - 1))
-        assert u_stat_perm(PRODUCT, data, 2) == pytest.approx(closed, rel=1e-12,
+        assert u_stat_perm(product, data, 2) == pytest.approx(closed, rel=1e-12,
                                                               abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -59,9 +62,8 @@ class TestUStatPerm:
     def test_data_order_irrelevant(self, order):
         base = [0.3, -1.7, 2.9, 0.0, 5.2, -0.4]
         shuffled = [base[i] for i in order]
-        g = EvalFn(order=2, body=lambda x, y: float(x * x * y))
-        assert u_stat_perm(g, shuffled, 2) == pytest.approx(
-            u_stat_perm(g, base, 2), rel=1e-12
+        assert u_stat_perm(asymmetric, shuffled, 2) == pytest.approx(
+            u_stat_perm(asymmetric, base, 2), rel=1e-12
         )
 
 
@@ -101,7 +103,7 @@ class TestEnumerationLimit:
         monkeypatch.setenv("USHRINK_ENUM_LIMIT", "50")
         assert enumeration_limit() == 50
         with pytest.raises(EnumerationLimitError):
-            u_stat_perm(PRODUCT, list(range(20)), 2)
+            u_stat_perm(product, list(range(20)), 2)
 
     def test_env_invalid(self, monkeypatch):
         monkeypatch.setenv("USHRINK_ENUM_LIMIT", "many")
