@@ -15,14 +15,14 @@ Setting ``bandwidth = scale = 1`` recovers the unit-parameter forms.
 ``gram`` needs O(n^2) memory for n observations whatever the dimension d.
 Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates the Gaussian Gram sums its
 squared distances one coordinate at a time, in coordinate order, into one
-n x n array; from that dimension on it takes them from one matrix product
-of the centered data, ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>, as long as
-the data's spread max ||x_i||^2 + max ||x_j||^2 is at most
-``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths.  The product route is faster
-but not bit-identical to the coordinate sums: its entries differ from them
-by up to a few eps times spread / bandwidth (measured: 2 eps per unit of
-that ratio at d = 20, 4.5 at d = 130, 8.5 at d = 1000), so by at most about
-6e-14 under the cap.  Its last bits can depend on the number of BLAS
+n x n array beside a scratch tile of fixed size; from that dimension on it
+takes them from one matrix product of the centered data, ||x_i||^2 +
+||x_j||^2 - 2 <x_i, x_j>, as long as the data's spread max ||x_i||^2 +
+max ||x_j||^2 is at most ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths.  The
+product route is faster but not bit-identical to the coordinate sums: its
+entries differ from them by up to a few eps times spread / bandwidth
+(measured: 2 eps per unit of that ratio at d = 20, 4.5 at d = 130, 8.5 at
+d = 1000), so by at most about 6e-14 under the cap.  Its last bits can depend on the number of BLAS
 threads.
 Datasets and loaded Gram matrices must be finite, and a Gram matrix whose
 entries overflow (the exponential kernel on large inputs) raises
@@ -67,6 +67,11 @@ GAUSSIAN_PRODUCT_MIN_DIM = 8
 # kernel entry is near 1 and its error is about eps * spread.  Wider data
 # takes the coordinate sums, which have no such cancellation.
 GAUSSIAN_PRODUCT_MAX_SPREAD = 32.0
+
+# Size of the Gaussian coordinate route's scratch tile, in float64 values:
+# 64 KiB, below glibc's 128 KiB mmap threshold, so a tile is reused from
+# the heap rather than mapped and page-faulted in on every Gram.
+_GRAM_TILE_VALUES = 2**13
 
 
 def as_dataset(data) -> np.ndarray:
@@ -168,8 +173,9 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     ``_gaussian_gram``), from there on, for data within
     ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths, they come from one symmetric
     matrix product (see ``_gaussian_gram_product``).  It uses O(n^2) memory
-    (two n x n arrays), never an (n, n, d) array of differences.  A Gram
-    matrix computed elsewhere comes from ``load_gram_csv`` instead.
+    (one n x n array and a fixed tile on the coordinate route, two n x n
+    arrays on the product route), never an (n, n, d) array of differences.
+    A Gram matrix computed elsewhere comes from ``load_gram_csv`` instead.
     """
     x = as_dataset(data)
     g = _kernel_block(spec, x, x)
@@ -203,7 +209,7 @@ def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray:
-    """exp(-||x_i - z_j||^2 / bandwidth) in two n x m arrays.
+    """exp(-||x_i - z_j||^2 / bandwidth) in one n x m array and a fixed tile.
 
     The Gaussian route below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates, the
     fallback for data wider than ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths,
@@ -215,15 +221,22 @@ def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray
     and the two differ in the last bits (about 1e-15 relative).  With z = x,
     entry (j, i) sums the same squares in the same order as entry (i, j),
     because (a - b)^2 == (b - a)^2 exactly, so the Gram matrix is exactly
-    symmetric and needs no (G + G^T) / 2.
+    symmetric and needs no (G + G^T) / 2.  The squares of coordinates 1 ..
+    d - 1 are formed a block of rows at a time in a scratch tile of
+    ``_GRAM_TILE_VALUES`` values (one row if a row is longer), so one n x m
+    array is live, not two.
     """
     acc = np.subtract(x[:, 0, None], z[None, :, 0])
     np.square(acc, out=acc)
-    scratch = np.empty_like(acc)
-    for k in range(1, x.shape[1]):
-        np.subtract(x[:, k, None], z[None, :, k], out=scratch)
-        np.square(scratch, out=scratch)
-        acc += scratch
+    rows = max(1, _GRAM_TILE_VALUES // acc.shape[1])
+    tile = np.empty((min(rows, len(x)), acc.shape[1]))
+    for lo in range(0, len(x), rows):
+        part = acc[lo:lo + rows]
+        scratch = tile[:len(part)]
+        for k in range(1, x.shape[1]):
+            np.subtract(x[lo:lo + rows, k, None], z[None, :, k], out=scratch)
+            np.square(scratch, out=scratch)
+            part += scratch
     np.divide(acc, -bandwidth, out=acc)
     return np.exp(acc, out=acc)
 

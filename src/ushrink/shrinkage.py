@@ -83,6 +83,10 @@ class TargetSpec:
             raise ValueError(
                 f"{pts.shape[0]} landmarks but {coef.shape[0]} coefficients"
             )
+        bad = np.flatnonzero(~np.isfinite(coef))
+        if bad.size:
+            raise ValueError(f"target coefficient {bad[0]} (0-based) is "
+                             f"{coef[bad[0]]}; coefficients must be finite")
         return cls(landmarks=pts, coefficients=coef)
 
 
@@ -223,6 +227,18 @@ def covop_inner(kernel_fn: Callable[[np.ndarray, np.ndarray], float]) -> Inner:
 # closed Gram-matrix forms
 # ---------------------------------------------------------------------------
 
+def _mean_stats(trace, total, n: int):
+    """delta_hat and ||mean embedding||^2 from an n x n Gram's trace and sum.
+
+    The risk estimate is (mean diagonal - mean off-diagonal entry) / n.
+    ``trace`` and ``total`` are floats, or arrays of one value per Gram; the
+    plain operators give the same bits either way.
+    """
+    if n < 2:
+        raise InsufficientSampleError(f"need at least 2 observations, got {n}")
+    return (trace / n - (total - trace) / (n * (n - 1))) / n, total / (n * n)
+
+
 def shrink_mean(
     gram,
     target: TargetSpec | None = None,
@@ -248,18 +264,11 @@ def shrink_mean(
     """
     g = _entries(gram)
     n = g.shape[0]
-    if n < 2:
-        raise InsufficientSampleError(f"need at least 2 observations, got {n}")
-
     # an overflow here comes out inf or nan and alpha_from raises on it
     with np.errstate(over="ignore", invalid="ignore"):
         trace = float(np.trace(g))
         total = float(g.sum())
-    diag_mean = trace / n
-    off_mean = (total - trace) / (n * (n - 1))
-    delta = (diag_mean - off_mean) / n
-
-    mean_all = total / (n * n)
+    delta, mean_all = _mean_stats(trace, total, n)
     if target is None:
         dist_sq = mean_all
     else:

@@ -21,7 +21,10 @@ blocks: the datasets of replications ``r`` .. ``r + m - 1`` fill an
 stays bounded whatever the number of replications.  Each estimator is then
 evaluated on the whole block at once, with reductions fixed so that every
 row equals the one-dataset computation bit for bit; no estimator writes
-to the block.  Aggregation uses exact (Shewchuk) summation, so the
+to the block.  The Gaussian-kernel embedding forms one Gram per dataset and
+keeps only its trace and entry sum; its coefficients, and one closed-form
+cross term over all the block's points, are then array formulas over the
+block.  Aggregation uses exact (Shewchuk) summation, so the
 reported risk does not depend on accumulation order.
 
 Dispatch
@@ -57,9 +60,8 @@ import numpy as np
 from . import covmat, normalmean
 from .errors import CapabilityError, ParameterError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gram
-from .shrinkage import GENERAL, alpha_from, shrink_mean
-
-RNG_ALGORITHM = "Philox4x64 (numpy.random.Philox), keyed directly by the seed"
+from .shrinkage import (DIST_SQ_FLOOR, GENERAL, _mean_stats, alpha_from,
+                        clamped_alpha)
 
 SPHERICAL_GAUSSIAN = "spherical_gaussian"
 DIAG_GAUSSIAN = "diag_gaussian"
@@ -364,14 +366,21 @@ def _cov_shrink_error(est, dist, data):
     return float(np.sum(diff * diff)), res.report.alpha
 
 
-def _gaussian_embed_error(est, dist, data):
-    _, report = shrink_mean(gram(est.kernel, data))
-    w = 1.0 - report.alpha
-    cross = gaussian_kernel_location_moment(data, dist.mu, dist.sigma,
-                                            est.kernel.bandwidth)
+def _gaussian_embed_errors(est, dist, block):
+    m, n, d = block.shape
+    sums = np.empty((2, m))  # trace and entry sum of each dataset's Gram
+    for i, data in enumerate(block):
+        g = gram(est.kernel, data).entries
+        sums[:, i] = np.trace(g), g.sum()
+    delta, dist_sq = _mean_stats(sums[0], sums[1], n)
+    dist_sq[(DIST_SQ_FLOOR < dist_sq) & (dist_sq < 0.0)] = 0.0
+    alpha = clamped_alpha(delta, dist_sq)
+    w = 1.0 - alpha
+    cross = gaussian_kernel_location_moment(
+        block.reshape(-1, d), dist.mu, dist.sigma, est.kernel.bandwidth)
+    cross = cross.reshape(m, n).mean(axis=1)
     norm_c = _gaussian_embed_moments(est, dist)[1]
-    err = w * w * report.dist_sq - 2.0 * w * float(cross.mean()) + norm_c
-    return err, report.alpha
+    return w * w * dist_sq - 2.0 * w * cross + norm_c, alpha
 
 
 def _each(one):
@@ -401,7 +410,7 @@ _ROUTES = {
     MU_CHECK_C: (_shrunk_mean_errors, _mean_moments),
     COV_MAT_PLAIN: (_each(_cov_plain_error), None),
     COV_MAT_SHRINK: (_each(_cov_shrink_error), None),
-    MEAN_EMBED_SHRINK: (_each(_gaussian_embed_error), _gaussian_embed_moments),
+    MEAN_EMBED_SHRINK: (_gaussian_embed_errors, _gaussian_embed_moments),
 }
 
 
@@ -483,16 +492,8 @@ def summarize_errors(errs: np.ndarray, reps: int, seed: int) -> RiskEstimate:
     """Order-independent mean and standard error of per-replication errors."""
     errs = np.asarray(errs, dtype=float)
     mse = _exact_sum(errs) / len(errs)
-    if len(errs) > 1:
-        var = _exact_sum((errs - mse) ** 2) / (len(errs) - 1)
-    else:
-        var = 0.0
-    return RiskEstimate(
-        mean_sq_error=mse,
-        std_error=math.sqrt(var / len(errs)),
-        reps=reps,
-        seed=seed,
-    )
+    var = _exact_sum((errs - mse) ** 2) / (len(errs) - 1) if len(errs) > 1 else 0.0
+    return RiskEstimate(mse, math.sqrt(var / len(errs)), reps, seed)
 
 
 def _check_min_reps(reps: int) -> None:
@@ -580,14 +581,8 @@ def experiment_names() -> list[str]:
 
 def _risk_row(est: EstimatorSpec, dist: DistSpec, n: int,
               risk: RiskEstimate) -> dict:
-    return {
-        "estimator": est.label(),
-        "n": n,
-        "d": dist.dim,
-        "reps": risk.reps,
-        "mse": risk.mean_sq_error,
-        "stderr": risk.std_error,
-    }
+    return {"estimator": est.label(), "n": n, "d": dist.dim, "reps": risk.reps,
+            "mse": risk.mean_sq_error, "stderr": risk.std_error}
 
 
 def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
@@ -602,25 +597,16 @@ def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
 
 def _paired_summary(est_a, est_b, errs_a, errs_b, reps, seed) -> dict:
     summary = summarize_errors(errs_a - errs_b, reps, seed)
-    return {
-        "difference": f"{est_a.label()} - {est_b.label()}",
-        "mean": summary.mean_sq_error,
-        "stderr": summary.std_error,
-    }
+    return {"difference": f"{est_a.label()} - {est_b.label()}",
+            "mean": summary.mean_sq_error, "stderr": summary.std_error}
 
 
-def run_experiment(
-    name: str,
-    *,
-    reps: int | None = None,
-    seed: int = DEFAULT_SEED,
-    n_grid: Optional[list[int]] = None,
-) -> dict:
+def run_experiment(name: str, *, reps: int | None = None, seed: int = DEFAULT_SEED,
+                   n_grid: Optional[list[int]] = None) -> dict:
     """Run a canned simulation and return a JSON-ready result dict."""
     if name not in _EXPERIMENTS:
         raise ParameterError(
-            f"unknown experiment {name!r}; choose from {experiment_names()}"
-        )
+            f"unknown experiment {name!r}; choose from {experiment_names()}")
     description, default_reps = _EXPERIMENTS[name]
     reps = default_reps if reps is None else reps
     out: dict = {"experiment": name, "description": description,
@@ -642,31 +628,24 @@ def run_experiment(
         grid = [25, 50, 100, 200] if not n_grid else list(n_grid)
         dist = DistSpec.spherical_gaussian(np.array([1.0, 0.0]), 1.0)
         est = EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.0))
-        rows = []
-        points = []
+        out["results"] = rows = []
         for n in grid:
             (errs,), (alphas,) = mc_detail((est,), dist, n, reps, seed)
-            risk = summarize_errors(errs, reps, seed)
             a_star = oracle_alpha(dist, est, n)
             rows.append({
-                **_risk_row(est, dist, n, risk),
+                **_risk_row(est, dist, n, summarize_errors(errs, reps, seed)),
                 "oracle_alpha": a_star,
                 "median_alpha_gap": float(np.median(np.abs(alphas - a_star))),
             })
-            points.append((n, risk.mean_sq_error))
-        out["results"] = rows
-        out["slope"] = rate_slope(points)
+        out["slope"] = rate_slope((row["n"], row["mse"]) for row in rows)
         return out
 
     # oracle dominance
     dist = DistSpec.spherical_gaussian(np.array([1.0, 0.0, 0.0]), 1.0)
     n = 10
     a_star = oracle_alpha(dist, EstimatorSpec.mu_check(), n)
-    ests = (
-        EstimatorSpec.sample_mean(),
-        EstimatorSpec.fixed_alpha_mean(a_star),
-        EstimatorSpec.mu_check(),
-    )
+    ests = (EstimatorSpec.sample_mean(), EstimatorSpec.fixed_alpha_mean(a_star),
+            EstimatorSpec.mu_check())
     out["oracle_alpha"] = a_star
     out["results"], _ = _risk_rows(ests, dist, n, reps, seed)
     return out

@@ -21,7 +21,6 @@ from ushrink import (
     delta_general,
     gram,
     kernel_function,
-    mc_risk,
     mean_inner,
     oracle_alpha,
     rate_slope,
@@ -237,9 +236,12 @@ def test_criterion_9_oracle_dominance(criterion):
     dist = DistSpec.spherical_gaussian(e1(3), 1.0)
     n, reps, seed = 10, 10**5, 910_000
     a_star = oracle_alpha(dist, EstimatorSpec.mu_check(), n)
-    fixed = mc_risk(EstimatorSpec.fixed_alpha_mean(a_star), dist, n, reps, seed)
-    plain = mc_risk(EstimatorSpec.sample_mean(), dist, n, reps, seed)
-    shrunk = mc_risk(EstimatorSpec.mu_check(), dist, n, reps, seed)
+    # one draw of each dataset for all three estimators; an estimator's
+    # errors are those of its own run
+    errs = mc_detail((EstimatorSpec.fixed_alpha_mean(a_star),
+                      EstimatorSpec.sample_mean(), EstimatorSpec.mu_check()),
+                     dist, n, reps, seed)[0]
+    fixed, plain, shrunk = (summarize_errors(e, reps, seed) for e in errs)
     margin_1 = (plain.mean_sq_error
                 - 2 * math.hypot(fixed.std_error, plain.std_error)
                 - fixed.mean_sq_error)

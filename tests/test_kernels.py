@@ -14,6 +14,7 @@ from ushrink import (
 from ushrink.kernels import (
     GAUSSIAN_PRODUCT_MAX_SPREAD,
     GAUSSIAN_PRODUCT_MIN_DIM,
+    _GRAM_TILE_VALUES,
     _gaussian_gram,
     _gaussian_gram_product,
     _kernel_block,
@@ -111,6 +112,42 @@ class TestGram:
             g = gram(KernelSpec.gaussian(bandwidth), x).entries
             assert np.array_equal(g, ref)
             assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_gaussian_tiles_match_broadcast_formula_bitwise(self, d):
+        # the coordinate route squares coordinates 1 .. d-1 a block of rows
+        # at a time; every tiling must give the one-pass broadcast's bits
+        rng = np.random.default_rng(100 + d)
+        m = 100
+        rows = _GRAM_TILE_VALUES // m  # rows per tile against m columns
+        shapes = [(1, 1), (rows - 1, m), (rows, m), (rows + 1, m),
+                  (2 * rows + 1, m), (2, _GRAM_TILE_VALUES + 1)]
+        for n, cols in shapes:
+            x = rng.normal(scale=2.0, size=(n, d))
+            z = rng.normal(scale=2.0, size=(cols, d))
+            ref = np.exp(-np.sum((x[:, None, :] - z[None, :, :]) ** 2, axis=-1) / 1.7)
+            assert np.array_equal(_gaussian_gram(x, z, 1.7), ref), (n, cols)
+        # square Grams one row either side of filling whole tiles
+        side = math.isqrt(_GRAM_TILE_VALUES)
+        for n in (side, side + 1, side + 2):
+            x = rng.normal(size=(n, d))
+            ref = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1) / 0.6)
+            g = gram(KernelSpec.gaussian(0.6), x).entries
+            assert np.array_equal(g, ref) and np.array_equal(g, g.T), n
+
+    def test_gaussian_coordinate_route_holds_one_square_array(self):
+        # one n x n result plus a fixed scratch tile, not two n x n arrays
+        import tracemalloc
+
+        n, d = 400, 3
+        x = np.random.default_rng(1).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            gram(KernelSpec.gaussian(1.0), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     @pytest.mark.parametrize("d", [8, 20, 130])
     def test_gaussian_matches_cdist(self, d):

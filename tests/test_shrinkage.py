@@ -238,6 +238,13 @@ class TestShrinkMean:
             with pytest.raises(ValueError, match=match):
                 shrink_mean(g, target, cross_gram=cross, target_gram=tg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dual_target_coefficients_finite(self, bad):
+        # rejected where the target is built, naming the coefficient, not
+        # later as a non-finite shrinkage risk
+        with pytest.raises(ValueError, match=f"target coefficient 1 .* is {bad}"):
+            TargetSpec.dual([[0.0], [1.0]], [0.5, bad])
+
     def test_too_small(self):
         with pytest.raises(InsufficientSampleError):
             shrink_mean(gram(LINEAR, [[1.0, 2.0]]))

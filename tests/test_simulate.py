@@ -16,15 +16,17 @@ from ushrink import (
     alpha_from,
     gaussian_embed_norm_sq,
     gaussian_kernel_location_moment,
+    gram,
     mc_risk,
     oracle_alpha,
     rate_slope,
     run_experiment,
     sample,
+    shrink_mean,
 )
 from ushrink import normalmean, simulate
 from ushrink.shrinkage import DEGENERATE
-from ushrink.simulate import mc_detail
+from ushrink.simulate import mc_detail, summarize_errors
 
 
 def e1(d):
@@ -130,15 +132,18 @@ class TestMcRisk:
         for d, n, sigma, seed in [(3, 10, 1.0, 101), (10, 5, 1.0, 202),
                                   (5, 20, 2.0, 303)]:
             dist = DistSpec.spherical_gaussian(e1(d), sigma)
-            plain = mc_risk(EstimatorSpec.sample_mean(), dist, n, 10**5, seed)
+            a_star = oracle_alpha(dist, EstimatorSpec.mu_check(), n)
+            # one draw of each dataset for both estimators; each one's errors
+            # are those of its own mc_risk run (TestSharedEngine)
+            errs = mc_detail((EstimatorSpec.sample_mean(),
+                              EstimatorSpec.fixed_alpha_mean(a_star)),
+                             dist, n, 10**5, seed)[0]
+            plain, fixed = (summarize_errors(e, 10**5, seed) for e in errs)
             target = d * sigma**2 / n
             assert abs(plain.mean_sq_error - target) < 4 * plain.std_error
 
             # fixed-oracle dominance at the same configuration
-            a_star = oracle_alpha(dist, EstimatorSpec.mu_check(), n)
             assert a_star >= 0.1
-            fixed = mc_risk(EstimatorSpec.fixed_alpha_mean(a_star), dist, n,
-                            10**5, seed)
             combined = math.hypot(fixed.std_error, plain.std_error)
             assert fixed.mean_sq_error <= plain.mean_sq_error - 2 * combined
 
@@ -374,10 +379,36 @@ class TestBatchedReplication:
             diff = xc.T @ xc / 4 - dist.covariance
             assert errs[r] == float(np.sum(diff * diff))
 
+    @pytest.mark.parametrize("n", [2, 3, 25, 200])
+    @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 4.0])
+    def test_gaussian_embedding_matches_one_dataset_formula(self, n, bandwidth):
+        # the block route reads each Gram's trace and sum and evaluates the
+        # coefficient and the error as arrays; each row checked (every 17th,
+        # and all from three before the block boundary on) must equal
+        # shrink_mean on that dataset's Gram plus the one-dataset cross term
+        dist = DistSpec.spherical_gaussian([1.0, -0.5], 0.8)
+        kernel = KernelSpec.gaussian(bandwidth)
+        per_block = simulate.BLOCK_VALUES // (n * dist.dim)
+        reps = per_block + 3  # one full block and part of a second
+        (errs,), (alphas,) = mc_detail((EstimatorSpec.mean_embed_shrink(kernel),),
+                                       dist, n, reps, self.SEED)
+        norm_c = gaussian_embed_norm_sq(dist.dim, dist.sigma, bandwidth)
+        for r in sorted(set(range(0, reps, 17)) | set(range(per_block - 3, reps))):
+            data = sample(dist, n, self.SEED + r)
+            _, report = shrink_mean(gram(kernel, data))
+            w = 1.0 - report.alpha
+            cross = gaussian_kernel_location_moment(data, dist.mu, dist.sigma,
+                                                    bandwidth)
+            err = w * w * report.dist_sq - 2.0 * w * float(cross.mean()) + norm_c
+            assert (errs[r], alphas[r]) == (err, report.alpha), r
+
     def test_single_observation_rejected(self):
         dist = DISTS["spherical"]
         with pytest.raises(InsufficientSampleError):
             mc_detail((EstimatorSpec.mu_check(),), dist, 1, 100, 0)
+        gauss_embed = EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.0))
+        with pytest.raises(InsufficientSampleError):
+            mc_detail((gauss_embed,), dist, 1, 100, 0)
 
     def test_experiment_reps_floor(self):
         with pytest.raises(ParameterError, match="reps"):
