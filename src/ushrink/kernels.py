@@ -12,18 +12,18 @@ Parameterizations:
 * exponential:  K(x, y) = exp(<x, y> / scale)
 
 Setting ``bandwidth = scale = 1`` recovers the unit-parameter forms.
-``gram`` needs O(n^2) memory for n observations whatever the dimension d.
-Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates the Gaussian Gram sums its
-squared distances one coordinate at a time, in coordinate order, into one
-n x n array beside a scratch tile of fixed size; from that dimension on it
+``gram`` needs O(n^2) memory for n observations whatever the dimension d:
+the Gaussian Gram is one n x n array beside a scratch tile of fixed size.
+Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates it sums its squared distances
+one coordinate at a time, in coordinate order; from that dimension on it
 takes them from one matrix product of the centered data, ||x_i||^2 +
 ||x_j||^2 - 2 <x_i, x_j>, as long as the data's spread max ||x_i||^2 +
 max ||x_j||^2 is at most ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths.  The
 product route is faster but not bit-identical to the coordinate sums: its
 entries differ from them by up to a few eps times spread / bandwidth
 (measured: 2 eps per unit of that ratio at d = 20, 4.5 at d = 130, 8.5 at
-d = 1000), so by at most about 6e-14 under the cap.  Its last bits can depend on the number of BLAS
-threads.
+d = 1000), so by at most about 6e-14 under the cap.  Its last bits can
+depend on the number of BLAS threads.
 Datasets and loaded Gram matrices must be finite, and a Gram matrix whose
 entries overflow (the exponential kernel on large inputs) raises
 ``ValueError`` rather than returning inf or nan.  Loaded matrices are
@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,9 +69,9 @@ GAUSSIAN_PRODUCT_MIN_DIM = 8
 # takes the coordinate sums, which have no such cancellation.
 GAUSSIAN_PRODUCT_MAX_SPREAD = 32.0
 
-# Size of the Gaussian coordinate route's scratch tile, in float64 values:
-# 64 KiB, below glibc's 128 KiB mmap threshold, so a tile is reused from
-# the heap rather than mapped and page-faulted in on every Gram.
+# Size of the scratch tile of ``_row_tiles``, in float64 values: 64 KiB, in
+# L2 cache and below glibc's 128 KiB mmap threshold, so a tile is reused from
+# the heap rather than mapped and page-faulted in on every call.
 _GRAM_TILE_VALUES = 2**13
 
 
@@ -109,10 +110,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == GAUSSIAN and not self.bandwidth > 0:
-            raise ParameterError("gaussian kernel requires bandwidth > 0")
-        if self.kind == EXPONENTIAL and not self.scale > 0:
-            raise ParameterError("exponential kernel requires scale > 0")
+        if self.kind == GAUSSIAN and not 0 < self.bandwidth < math.inf:
+            raise ParameterError("gaussian kernel requires a finite bandwidth > 0")
+        if self.kind == EXPONENTIAL and not 0 < self.scale < math.inf:
+            raise ParameterError("exponential kernel requires a finite scale > 0")
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -172,9 +173,9 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     squared distances are summed coordinate by coordinate (see
     ``_gaussian_gram``), from there on, for data within
     ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths, they come from one symmetric
-    matrix product (see ``_gaussian_gram_product``).  It uses O(n^2) memory
-    (one n x n array and a fixed tile on the coordinate route, two n x n
-    arrays on the product route), never an (n, n, d) array of differences.
+    matrix product (see ``_gaussian_gram_product``).  It uses O(n^2) memory,
+    one n x n array and a fixed tile on either route, never an (n, n, d)
+    array of differences.
     A Gram matrix computed elsewhere comes from ``load_gram_csv`` instead.
     """
     x = as_dataset(data)
@@ -192,14 +193,12 @@ def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"points have mismatched dimensions {x.shape[1]} and {z.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == LINEAR:
-            g = x @ z.T
-        elif spec.kind == GAUSSIAN:
+        if spec.kind == GAUSSIAN:
+            # exp(-sq / bandwidth) with sq in [0, inf]: every entry is in [0, 1]
             route = (_gaussian_gram_product if x.shape[1] >= GAUSSIAN_PRODUCT_MIN_DIM
                      else _gaussian_gram)
-            g = route(x, z, spec.bandwidth)
-        else:
-            g = np.exp(x @ z.T / spec.scale)
+            return route(x, z, spec.bandwidth)
+        g = x @ z.T if spec.kind == LINEAR else np.exp(x @ z.T / spec.scale)
     if not np.isfinite(g).all():
         cause = (f": exp(<x, y> / scale) overflows at scale={spec.scale:g}; "
                  "a larger scale avoids it" if spec.kind == EXPONENTIAL else "")
@@ -222,19 +221,15 @@ def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray
     entry (j, i) sums the same squares in the same order as entry (i, j),
     because (a - b)^2 == (b - a)^2 exactly, so the Gram matrix is exactly
     symmetric and needs no (G + G^T) / 2.  The squares of coordinates 1 ..
-    d - 1 are formed a block of rows at a time in a scratch tile of
-    ``_GRAM_TILE_VALUES`` values (one row if a row is longer), so one n x m
+    d - 1 are formed in a scratch tile (see ``_row_tiles``), so one n x m
     array is live, not two.
     """
     acc = np.subtract(x[:, 0, None], z[None, :, 0])
     np.square(acc, out=acc)
-    rows = max(1, _GRAM_TILE_VALUES // acc.shape[1])
-    tile = np.empty((min(rows, len(x)), acc.shape[1]))
-    for lo in range(0, len(x), rows):
-        part = acc[lo:lo + rows]
-        scratch = tile[:len(part)]
+    for rows, scratch in _row_tiles(*acc.shape):
+        part = acc[rows]
         for k in range(1, x.shape[1]):
-            np.subtract(x[lo:lo + rows, k, None], z[None, :, k], out=scratch)
+            np.subtract(x[rows, k, None], z[None, :, k], out=scratch)
             np.square(scratch, out=scratch)
             part += scratch
     np.divide(acc, -bandwidth, out=acc)
@@ -251,12 +246,12 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     at 0.  With z = x, the norm sum is exactly symmetric because addition
     commutes, and so is the product: numpy evaluates ``a @ a.T`` as a
     symmetric rank-k update and copies one triangle onto the other.  The
-    diagonal is then set to exactly 0, so the Gram diagonal is exp(0) = 1.
-    The peak is two n x m arrays.  An entry's error is about
-    eps * (||xc_i||^2 + ||zc_j||^2) / bandwidth, largest where two close
-    points lie far from the center; when the spread exceeds
-    ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths (this includes norms that
-    overflow, where the formula would give inf - inf) it returns
+    rest runs tile by tile (``_row_tiles``), writing over the product, and
+    with z = x the diagonal, a zero distance, is set to exactly exp(0) = 1.
+    An entry's error is about eps * (||xc_i||^2 + ||zc_j||^2) / bandwidth,
+    largest where two close points lie far from the center; when the spread
+    exceeds ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths (this includes norms
+    that overflow, where the formula would give inf - inf) it returns
     ``_gaussian_gram`` instead.
     """
     center = x.mean(axis=0)
@@ -267,16 +262,30 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     # under the cap the norm sum is finite, and |2 <xc_i, zc_j>| is at most it
     if not (x_sq.max() + z_sq.max()) / bandwidth <= GAUSSIAN_PRODUCT_MAX_SPREAD:
         return _gaussian_gram(x, z, bandwidth)
-    sq = np.add.outer(x_sq, z_sq)
-    cross = xc @ zc.T
-    cross *= 2.0
-    sq -= cross
-    del cross
-    np.maximum(sq, 0.0, out=sq)
+    g = xc @ zc.T
+    for rows, sq in _row_tiles(*g.shape):
+        part = g[rows]
+        np.add(x_sq[rows, None], z_sq, out=sq)
+        part *= 2.0
+        sq -= part
+        np.maximum(sq, 0.0, out=sq)
+        np.divide(sq, -bandwidth, out=sq)
+        np.exp(sq, out=part)
     if z is x:
-        np.fill_diagonal(sq, 0.0)
-    np.divide(sq, -bandwidth, out=sq)
-    return np.exp(sq, out=sq)
+        np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _row_tiles(n: int, m: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row slices of an n x m array, each with an uninitialized tile of its shape.
+
+    The tiles are views of one array of ``_GRAM_TILE_VALUES`` values (one row
+    if a row is longer), so an elementwise pass holds no second n x m array.
+    """
+    step = max(1, _GRAM_TILE_VALUES // m)
+    tile = np.empty((min(step, n), m))
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step), tile[:min(step, n - lo)]
 
 
 def _read_csv(path) -> np.ndarray:

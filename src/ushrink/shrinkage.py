@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientSampleError
-from .kernels import GramMatrix, KernelSpec, as_dataset, kernel_function
+from .kernels import GramMatrix, KernelSpec, _row_tiles, as_dataset, kernel_function
 from .ustat import comb_weights, u_stat_perm
 
 GENERAL = "general"
@@ -366,20 +366,26 @@ def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
     Gc is the double-centered Gram matrix and dc its diagonal.  Centering
     keeps ``_covop_report``'s polynomials well conditioned: the sums live on
     the scale of the kernel differences themselves.
-    Gc is built and then squared in place, so the peak is one n x n array
-    beside the input.
+    Gc is formed and squared tile by tile (``kernels._row_tiles``), so no
+    n x n array is made, and ||Gc||_F^2 is the ``math.fsum`` of the tiles'
+    sums (their plain sum when that overflows): bit for bit the one-array
+    sum up to 90 points (one tile).
     """
     g = _entries(gram)
-    _check_covop_n(g.shape[0])
+    _check_covop_n(len(g))
+    diag, parts = np.empty(len(g)), []
     with np.errstate(over="ignore", invalid="ignore"):
         row_mean = g.mean(axis=1, keepdims=True)
-        gc = g - row_mean
-        gc -= row_mean.T
-        gc += g.mean()
-        diag = np.diagonal(gc).copy()
+        mean = g.mean()
+        for rows, gc in _row_tiles(*g.shape):
+            np.subtract(g[rows], row_mean[rows], out=gc)
+            gc -= row_mean.T
+            gc += mean
+            diag[rows] = np.diagonal(gc, rows.start)
+            parts.append(float(np.square(gc, out=gc).sum()))
         sum_dc_sq = float((diag * diag).sum())
-        frob_sq = float(np.square(gc, out=gc).sum())
-    return g.shape[0], float(diag.sum()), sum_dc_sq, frob_sq
+    frob_sq = math.fsum(parts) if math.isfinite(total := sum(parts)) else total
+    return len(g), float(diag.sum()), sum_dc_sq, frob_sq
 
 
 def shrink_covop(gram) -> ShrinkageReport:

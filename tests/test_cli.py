@@ -421,6 +421,15 @@ class TestNonFiniteInput:
         assert "overflow" in err and "JSON" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--kernel", "gaussian", "--bandwidth", "inf"],
+                                       ["--kernel", "exponential", "--scale", "inf"]])
+    def test_infinite_kernel_parameter_rejected(self, capsys, data_csv, flags):
+        # an infinite bandwidth or scale would give a Gram of ones
+        code, out, err = run_cli(capsys, "mean-shrink", "--input", data_csv, *flags)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_non_finite_tau_rejected(self, capsys, cov_csv):
         code, out, err = run_cli(capsys, "cov-shrink", "--input", cov_csv,
                                  "--tau", "nan", "--output", "csv")

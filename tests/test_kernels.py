@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ushrink import (
     KernelSpec,
     ParameterError,
@@ -246,7 +248,31 @@ class TestGaussianProductRoute:
         g = gram(KernelSpec.gaussian(1.0), x).entries
         assert np.array_equal(g, np.eye(5))
 
-    def test_memory_is_two_gram_arrays(self):
+    @pytest.mark.parametrize("d", [8, 20, 64])
+    def test_tiles_match_untiled_formula_bitwise(self, d):
+        # everything after the product runs a block of rows at a time in a
+        # scratch tile; every tiling must give the whole-array formula's bits
+        rng = np.random.default_rng(200 + d)
+        bandwidth = 2.0 * d  # keeps these points within the spread cap
+        m = 100
+        rows = _GRAM_TILE_VALUES // m  # rows per tile against m columns
+        shapes = [(1, 1), (rows - 1, m), (rows, m), (rows + 1, m), (2 * rows - 1, m),
+                  (2 * rows, m), (2 * rows + 1, m), (3, _GRAM_TILE_VALUES + 1)]
+        for n, cols in shapes:
+            x, z = 1.0 + rng.normal(size=(n, d)), rng.normal(size=(cols, d))
+            ref = oracles.gaussian_gram_product(x, z, bandwidth)
+            assert np.array_equal(_gaussian_gram_product(x, z, bandwidth), ref), n
+        # square Grams: one point, one row either side of filling one tile
+        # (90 rows of 90) and two tiles (64 rows of 128)
+        for n in (1, 90, 91, 92, 127, 128, 129):
+            x = rng.normal(size=(n, d))
+            g = gram(KernelSpec.gaussian(bandwidth), x).entries
+            assert np.array_equal(g, oracles.gaussian_gram_product(x, x, bandwidth)), n
+            assert np.array_equal(g, g.T)
+            assert np.array_equal(np.diagonal(g), np.ones(n))
+
+    def test_holds_one_square_array(self):
+        # the product array becomes the Gram: one n x n array and a fixed tile
         import tracemalloc
 
         n, d = 400, 20
@@ -257,17 +283,19 @@ class TestGaussianProductRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * n * 8
+        assert peak < 1.5 * n * n * 8
 
 
 class TestSpecValidation:
     def test_bad_bandwidth(self):
-        with pytest.raises(ParameterError):
-            KernelSpec.gaussian(0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite bandwidth > 0"):
+                KernelSpec.gaussian(bad)
 
     def test_bad_scale(self):
-        with pytest.raises(ParameterError):
-            KernelSpec.exponential(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite scale > 0"):
+                KernelSpec.exponential(bad)
 
     def test_precomputed_kind_unknown(self):
         # a precomputed Gram matrix is loaded by load_gram_csv, not a kernel
@@ -343,6 +371,24 @@ class TestNonFinite:
         m = np.array([[1.0, math.nan], [math.nan, 1.0]])
         with pytest.raises(ParameterError, match="non-finite"):
             load_gram_csv(_write_csv(tmp_path, m))
+
+    @pytest.mark.parametrize("d", [3, GAUSSIAN_PRODUCT_MIN_DIM])
+    def test_gaussian_entries_in_unit_interval(self, d):
+        # the Gaussian Gram is not checked for finite entries: a difference or
+        # norm that overflows must give exp(-inf) = 0, without a warning.  At
+        # d = 3 the coordinate sums run; at d = 8 the product runs on the tiny
+        # points and falls back to the coordinate sums on the others.
+        rng = np.random.default_rng(d)
+        signs = rng.choice([-1.0, 1.0], size=(20, d))
+        sets = [1e300 * signs, 1e-300 * signs,
+                signs * rng.choice([1e300, 1e-300], size=(20, d))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in sets:
+                for bandwidth in (1e-300, 1e300):
+                    spec = KernelSpec.gaussian(bandwidth)
+                    for g in (gram(spec, x).entries, _kernel_block(spec, x, x[:7] / 3)):
+                        assert np.all((g >= 0.0) & (g <= 1.0)), bandwidth
 
     def test_exponential_overflow_names_scale(self):
         data = np.array([[100.0, 100.0], [101.0, 99.0], [99.0, 100.0]])

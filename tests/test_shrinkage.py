@@ -29,7 +29,7 @@ from ushrink import (
     shrink_mean,
     u_stat_perm,
 )
-from ushrink.shrinkage import _report, clamped_alpha
+from ushrink.shrinkage import _centered_gram_sums, _report, clamped_alpha
 
 # finite doubles, subnormals and both zeros included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -319,12 +319,30 @@ class TestShrinkCovop:
         g = gram(LINEAR, 1e100 * random_data(np.random.default_rng(17), 6))
         with pytest.raises(ValueError, match="overflow"):
             fn(g)
+        # Gc = G with entries +-1e152: each tile's sum of squares is finite,
+        # their total overflows
+        signs = np.resize([1.0, -1.0], 200)
+        with pytest.raises(ValueError, match="overflow"):
+            fn(1e152 * np.outer(signs, signs))
+
+    @pytest.mark.parametrize("n", [4, 90, 91, 92, 182, 500])
+    def test_streamed_sums_match_one_array_formula(self, n):
+        # Gc is formed and squared tile by tile; up to 90 points the Gram is
+        # one tile and every sum keeps the whole-array formula's bits
+        g = gram(KernelSpec.gaussian(20.0),
+                 np.random.default_rng(n).normal(size=(n, 20))).entries
+        sums = _centered_gram_sums(g)
+        ref = oracles.centered_gram_sums(g)
+        assert sums[:3] == ref[:3]
+        exact = math.fsum(np.square(oracles.double_centered_gram(g)).ravel())
+        assert abs(sums[3] - exact) <= 1e-15 * exact
+        if n <= 90:
+            assert sums[3] == ref[3]
 
     @pytest.mark.parametrize("fn", [shrink_covop, shrink_covop_degen],
                              ids=lambda f: f.__name__)
-    def test_memory_below_three_gram_copies(self, fn):
-        # the centered Gram, squared in place, is the one n x n temporary;
-        # an n x n matrix of pairwise differences on top of it would take 3
+    def test_memory_holds_no_square_array(self, fn):
+        # the centered Gram is formed and squared a tile at a time
         import tracemalloc
 
         n = 400
@@ -336,7 +354,7 @@ class TestShrinkCovop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * n * 8
+        assert peak < 0.25 * n * n * 8
 
 
 class TestEvaluateMean:
