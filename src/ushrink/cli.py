@@ -167,8 +167,6 @@ def parse_args(argv) -> argparse.Namespace:
     if config.subcommand == "simulate":
         if config.reps is not None and config.reps < MIN_REPS:
             raise UsageError(f"--reps must be at least {MIN_REPS}, got {config.reps}")
-        if config.n_grid is not None and config.experiment != "consistency":
-            raise UsageError("--n-grid applies only to the consistency experiment")
     return config
 
 

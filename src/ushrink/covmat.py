@@ -8,7 +8,8 @@ sum_i dc_i = n Tr[Sigma_hat], sum_i dc_i^2 = sum_i ||X_i - Xbar||^4 and
 ||Gc||_F^2 = n^2 Tr[Sigma_hat^2].  This module computes those sums, the
 distance to the target tau I, the moment identities behind them, and the
 shrunk matrix (1 - alpha) C_hat + alpha tau I, where C_hat is the unbiased
-sample covariance.
+sample covariance, on (m, n, d) blocks of datasets (``_shrink_block``): the
+one-dataset functions pass a block of one, the Monte Carlo harness a block.
 
 The two risk estimates are polynomials in sum_fourth = sum_i ||X_i - Xbar||^4,
 tr_s2 = Tr[Sigma_hat^2] and tr_sq = Tr^2[Sigma_hat]; with c = C(n,2) P(n,4),
@@ -37,7 +38,8 @@ from .shrinkage import (
     GENERAL,
     ShrinkageReport,
     _check_covop_n,
-    _covop_report,
+    _covop_delta,
+    _snap_alpha,
 )
 
 _VARIANTS = (GENERAL, DEGENERATE)
@@ -70,46 +72,38 @@ class CovShrinkResult:
         }
 
 
-def _centered(x: np.ndarray) -> np.ndarray:
-    """Center a dataset already validated by ``as_dataset``."""
-    if x.shape[0] < 2:
-        raise InsufficientSampleError(
-            f"need at least 2 observations, got {x.shape[0]}"
-        )
-    return x - x.mean(axis=0)
-
-
-def _sigma_hat(xc: np.ndarray) -> np.ndarray:
-    n = xc.shape[0]
-    s = xc.T @ xc / n
-    return (s + s.T) / 2.0
-
-
-def _moments(x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+def _moments(block: np.ndarray):
     """Sigma_hat, Tr[Sigma_hat], Tr[Sigma_hat^2] and sum_i ||X_i - Xbar||^4.
 
-    ``x`` is a dataset already validated by ``as_dataset``.  Raises
-    ``ValueError`` when a sum overflows float64; Tr[Sigma_hat^2] is the
-    squared Frobenius norm of Sigma_hat, so this covers Sigma_hat too.
+    ``block`` is an (m, n, d) stack of validated datasets, and each result is
+    indexed by dataset first.  Products are stacked ``np.matmul`` calls and
+    reductions run along each dataset's own axes, so a dataset gives the
+    same bits in any block, one included.  Raises ``ValueError`` when a sum
+    overflows float64 (Tr[Sigma_hat^2] = ||Sigma_hat||_F^2 covers Sigma_hat).
     """
+    n = block.shape[1]
+    if n < 2:
+        raise InsufficientSampleError(f"need at least 2 observations, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = _centered(x)
-        s = _sigma_hat(xc)
-        sq_norms = np.sum(xc * xc, axis=1)
-        sums = (float(np.trace(s)), float(np.trace(s @ s)),
-                float(np.sum(sq_norms * sq_norms)))
-    if not all(map(math.isfinite, sums)):
+        xc = block - block.mean(axis=1, keepdims=True)
+        s = xc.mT @ xc / n
+        s = (s + s.mT) / 2.0
+        sq_norms = np.sum(xc * xc, axis=2)
+        sums = (np.trace(s, axis1=1, axis2=2), np.trace(s @ s, axis1=1, axis2=2),
+                np.sum(sq_norms * sq_norms, axis=1))
+    finite = np.isfinite(sums).all(axis=0)
+    if not finite.all():
+        bad = [float(v[np.argmin(finite)]) for v in sums]
         raise ValueError(
-            "the sample covariance overflows float64: Tr[Sigma_hat], "
-            "Tr[Sigma_hat^2] and sum ||X_i - Xbar||^4 are "
-            f"{sums[0]:g}, {sums[1]:g} and {sums[2]:g}; rescale the data"
-        )
+            "the sample covariance overflows float64: Tr[Sigma_hat], Tr[Sigma_hat^2] "
+            f"and sum ||X_i - Xbar||^4 are {bad[0]:g}, {bad[1]:g} and {bad[2]:g}; "
+            "rescale the data")
     return (s, *sums)
 
 
 def spectral_summaries(data) -> SpectralSummaries:
     """The three scalar summaries driving all closed forms here."""
-    _, tr, tr_s2, sum_fourth = _moments(as_dataset(data))
+    tr, tr_s2, sum_fourth = (float(v[0]) for v in _moments(as_dataset(data)[None])[1:])
     return SpectralSummaries(sum_fourth=sum_fourth, tr_s2=tr_s2, tr_sq=tr * tr)
 
 
@@ -171,46 +165,61 @@ def dist_sq_identity(data, tau: float = 1.0) -> float:
 
     tau = 1 is the identity target; tau = 0 reduces to ||C_hat||_F^2.
     """
+    _check_target(tau)
     x = as_dataset(data)
     n, d = x.shape
-    _, tr, tr_s2, _ = _moments(x)
-    return _dist_sq(n, d, tr, tr_s2, tau)
+    _, tr, tr_s2, _ = _moments(x[None])
+    return float(_dist_sq(n, d, tr, tr_s2, tau)[0])
 
 
-def _dist_sq(n: int, d: int, tr: float, tr_s2: float, tau: float) -> float:
+def _check_target(tau: float, variant: str = GENERAL) -> None:
+    """ParameterError unless ``shrink_cov_matrix`` accepts tau and variant."""
+    if variant not in _VARIANTS:
+        raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if not 0 <= tau < math.inf:
         raise ParameterError(f"target scale tau must be finite and >= 0, got {tau}")
-    return (
-        n * n / (n - 1) ** 2 * tr_s2
-        - 2 * n * tau / (n - 1) * tr
-        + tau * tau * d
-    )
 
 
-def shrink_cov_matrix(
-    data,
-    tau: float = 1.0,
-    variant: str = GENERAL,
-) -> CovShrinkResult:
+def _dist_sq(n: int, d: int, tr, tr_s2, tau: float):
+    return n * n / (n - 1) ** 2 * tr_s2 - 2 * n * tau / (n - 1) * tr + tau * tau * d
+
+
+def _shrink_block(block: np.ndarray, tau: float | None, variant: str | None):
+    """C_hat and its shrinkage toward tau I for each dataset of an (m, n, d) block.
+
+    Returns ``(sigma_hat, c_hat, shrunk, report)`` indexed by dataset first,
+    ``report`` being the ShrinkageReport fields as arrays; the caller checks
+    tau and variant (``_check_target``).  ``variant=None`` shrinks nothing:
+    ``shrunk`` is ``c_hat`` and ``report`` is None.
+    """
+    _, n, d = block.shape
+    if variant is not None:
+        _check_covop_n(n)
+    sigma, tr, tr_s2, sum_fourth = _moments(block)
+    c_hat = n / (n - 1) * sigma
+    if variant is None:
+        return sigma, c_hat, c_hat, None
+    delta = _covop_delta(variant, n, n * tr, sum_fourth, n * n * tr_s2)
+    report = (delta, *_snap_alpha(delta, _dist_sq(n, d, tr, tr_s2, tau)))
+    alpha = report[3][:, None, None]
+    shrunk = (1.0 - alpha) * c_hat + alpha * tau * np.eye(d)
+    return sigma, c_hat, shrunk, report
+
+
+def shrink_cov_matrix(data, tau: float = 1.0,
+                      variant: str = GENERAL) -> CovShrinkResult:
     """Shrink the unbiased sample covariance toward tau * I.
 
     ``variant`` selects the general or the degenerate risk estimate; the
     shrunk matrix is (1 - alpha) C_hat + alpha tau I with alpha the clamped
     plug-in coefficient.  The data are validated, centered and reduced to
     Sigma_hat once, and the report comes from the covariance-operator
-    formula of ``shrinkage`` on the linear-kernel sums.
+    formula of ``shrinkage`` on the linear-kernel sums.  This is the Monte
+    Carlo harness's block code (``_shrink_block``) on a block of one.
     """
-    if variant not in _VARIANTS:
-        raise ParameterError(
-            f"variant must be one of {_VARIANTS}, got {variant!r}"
-        )
+    _check_target(tau, variant)
     x = as_dataset(data)
-    n, d = x.shape
-    _check_covop_n(n)
-    sigma, tr, tr_s2, sum_fourth = _moments(x)
-    report = _covop_report(variant, n, n * tr, sum_fourth, n * n * tr_s2,
-                           _dist_sq(n, d, tr, tr_s2, tau))
-    c_hat = n / (n - 1) * sigma
-    shrunk = (1.0 - report.alpha) * c_hat + report.alpha * tau * np.eye(d)
-    return CovShrinkResult(sigma_hat=sigma, c_hat=c_hat, shrunk=shrunk,
+    sigma, c_hat, shrunk, report = _shrink_block(x[None], tau, variant)
+    report = ShrinkageReport(*(float(v[0]) for v in report), variant=variant)
+    return CovShrinkResult(sigma_hat=sigma[0], c_hat=c_hat[0], shrunk=shrunk[0],
                            report=report)

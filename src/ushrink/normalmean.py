@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
 from .kernels import as_dataset
-from .shrinkage import clamped_alpha
+from .shrinkage import alpha_from
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def mu_check_c(data, c: float) -> NormalMeanResult:
     """
     if not 0.0 < c < 2.0:
         raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
-    # an overflow comes out inf or nan and clamped_alpha raises on it
+    # an overflow comes out inf or nan and alpha_from raises on it
     with np.errstate(over="ignore", invalid="ignore"):
         xbar, s2, alpha, estimate = mu_check_c_batch(as_dataset(data)[None], c)
     return NormalMeanResult(xbar=xbar[0], s2=float(s2[0]), alpha=float(alpha[0]),
@@ -75,7 +75,7 @@ def mu_check_c_batch(block: np.ndarray, c: float):
         )
     xbar = block.mean(axis=1)
     s2 = ((block - xbar[:, None]) ** 2).reshape(m, -1).sum(axis=1) / (n - 1)
-    alpha = clamped_alpha(s2 / n, np.vecdot(xbar, xbar))
+    alpha = alpha_from(s2 / n, np.vecdot(xbar, xbar))[1]
     estimate = (1.0 - c * alpha)[:, None] * xbar
     return xbar, s2, alpha, estimate
 

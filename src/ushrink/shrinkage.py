@@ -22,7 +22,9 @@ the returned coefficient is the raw ratio clamped to [0, 1]; a vanishing
 denominator is resolved to alpha = 0 (no shrinkage).  Squared distances that
 round slightly negative (above -1e-9) are snapped to zero.  A denominator
 delta_hat + ||C_hat - f*||^2 that is not finite (a NaN or infinite input, or
-a sum that overflows float64) raises ``ValueError``.
+a sum that overflows float64) raises ``ValueError``.  One function,
+``alpha_from``, forms every coefficient, elementwise over floats or over the
+arrays of a block of Monte Carlo datasets; ``_snap_alpha`` snaps first.
 """
 
 from __future__ import annotations
@@ -103,52 +105,42 @@ class DualMeanElement:
     landmarks: np.ndarray | None = None
 
 
-def alpha_from(delta_hat: float, dist_sq: float) -> tuple[float, float]:
-    """Raw and clamped shrinkage coefficient from a risk estimate.
+def alpha_from(delta_hat, dist_sq):
+    """Raw and clamped shrinkage coefficient from a risk estimate, elementwise.
 
     Returns ``(alpha_raw, alpha)`` where ``alpha_raw`` is
-    delta_hat / (delta_hat + dist_sq) (zero if the denominator vanishes) and
-    ``alpha`` is its clamp to [0, 1].  Raises ``ValueError`` when the
-    denominator is not finite, which on finite data means the computation
-    overflowed float64.
+    delta_hat / (delta_hat + dist_sq) (zero where the denominator vanishes)
+    and ``alpha`` is its clamp to [0, 1], never -0.0.  Floats give floats;
+    arrays give arrays of their broadcast shape.  Raises ``ValueError`` on
+    the first denominator (in flat order) that is not finite, which on
+    finite data means the computation overflowed float64.
     """
-    denom = delta_hat + dist_sq
-    if not math.isfinite(denom):
-        raise ValueError(
-            f"shrinkage risk is not finite or overflows float64: delta_hat="
-            f"{delta_hat:g}, dist_sq={dist_sq:g}; rescale the data")
-    raw = 0.0 if denom == 0.0 else delta_hat / denom
-    return raw, min(1.0, max(0.0, raw))
-
-
-def clamped_alpha(delta_hat: np.ndarray, dist_sq: np.ndarray) -> np.ndarray:
-    """Elementwise ``alpha_from(d, s)[1]`` over arrays, bit for bit: no -0.0.
-
-    Raises ``ValueError`` as ``alpha_from`` does, on the first pair (in flat
-    order) whose denominator is not finite.  ``alpha_from`` stays on Python
-    floats: routing it through numpy would about double the time of a
-    ``shrink_mean`` call.
-    """
+    delta_hat = np.asarray(delta_hat, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = delta_hat + dist_sq
-    finite = np.isfinite(denom)
-    if not finite.all():  # alpha_from raises on the first bad pair
-        alpha_from(*(float(np.broadcast_to(a, denom.shape)[~finite][0])
-                     for a in (delta_hat, dist_sq)))
-    raw = np.divide(delta_hat, denom, out=np.zeros_like(denom), where=denom != 0.0)
-    return np.minimum(1.0, np.where(raw > 0.0, raw, 0.0))
+        if not np.isfinite(denom).all():
+            i = np.flatnonzero(~np.isfinite(denom))[0]
+            d, s = (np.broadcast_to(v, np.shape(denom)).flat[i]
+                    for v in (delta_hat, dist_sq))
+            raise ValueError(f"shrinkage risk is not finite or overflows float64: "
+                             f"delta_hat={d:g}, dist_sq={s:g}; rescale the data")
+        raw = np.divide(delta_hat, denom, out=np.zeros_like(denom),
+                        where=denom != 0.0)
+    # np.where, not np.maximum: numpy's fmax keeps -0.0 on its SIMD path
+    alpha = np.minimum(1.0, np.where(raw > 0.0, raw, 0.0))
+    return (float(raw), float(alpha)) if raw.ndim == 0 else (raw, alpha)
+
+
+def _snap_alpha(delta, dist_sq):
+    """(dist_sq, alpha_raw, alpha), dist_sq in (DIST_SQ_FLOOR, 0) snapped to 0."""
+    dist_sq = np.where((DIST_SQ_FLOOR < dist_sq) & (dist_sq < 0.0), 0.0, dist_sq)
+    return (dist_sq, *alpha_from(delta, dist_sq))
 
 
 def _report(variant: str, delta: float, dist_sq: float) -> ShrinkageReport:
-    """Report of a risk estimate and a squared distance to the target.
-
-    Snaps ``dist_sq`` in (DIST_SQ_FLOOR, 0) to 0 and forms the coefficient
-    with ``alpha_from``, which raises on a non-finite denominator.
-    """
-    if DIST_SQ_FLOOR < dist_sq < 0.0:
-        dist_sq = 0.0
-    raw, alpha = alpha_from(delta, dist_sq)
-    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
+    """Report of a risk estimate and a squared distance to the target."""
+    dist_sq, raw, alpha = _snap_alpha(delta, dist_sq)
+    return ShrinkageReport(delta_hat=delta, dist_sq=float(dist_sq),
                            alpha_raw=raw, alpha=alpha, variant=variant)
 
 
@@ -312,9 +304,8 @@ def _check_covop_n(n: int) -> None:
         )
 
 
-def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
-                  frob_sq: float, dist_sq: float | None = None) -> ShrinkageReport:
-    """Covariance-operator report from three sums of the double-centered Gram.
+def _covop_delta(variant: str, n: int, sum_dc, sum_dc_sq, frob_sq):
+    """Covariance-operator risk estimate from three sums of the double-centered Gram.
 
     The inputs are sums of Gc, the double-centered Gram matrix, and of its
     diagonal dc: ``sum_dc`` = sum_i dc_i, ``sum_dc_sq`` = sum_i dc_i^2 and
@@ -333,14 +324,14 @@ def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
     pair = 2n sum_dc_sq + 2 sum_dc^2 + 4 frob_sq,
     triple = n^2 sum_dc_sq + 3n frob_sq - pair and
     quadruple = 4n^2 frob_sq - 4 (triple + pair) + 2 pair; both estimates
-    expand to the polynomials evaluated below.  ``dist_sq`` defaults to the
-    squared norm of the estimate (the zero target), frob_sq / (n-1)^2.
+    expand to the polynomials evaluated below, elementwise over floats or
+    arrays of sums.  The squared norm of the estimate (the distance to the
+    zero target) is frob_sq / (n-1)^2.
 
     Under the linear kernel dc_i = ||X_i - Xbar||^2 and Gc = Xc Xc^T, so the
     sums are n Tr[Sigma_hat], sum_i ||X_i - Xbar||^4 and n^2 Tr[Sigma_hat^2]:
     the covariance matrix is the covariance operator of the linear kernel.
-    The caller checks n >= 4 (``_check_covop_n``).  Raises ``ValueError``
-    when the result overflows float64 (see ``alpha_from``).
+    The caller checks n >= 4 (``_check_covop_n``).
     """
     if variant == GENERAL:
         delta = (
@@ -355,16 +346,14 @@ def _covop_report(variant: str, n: int, sum_dc: float, sum_dc_sq: float,
             - 2 * (n - 2) / c2p4 * frob_sq
             + (n * n - 5 * n + 4) / (2 * c2p4) * sum_dc * sum_dc
         )
-    if dist_sq is None:
-        dist_sq = frob_sq / (n - 1) ** 2
-    return _report(variant, delta, dist_sq)
+    return delta
 
 
 def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
     """n, sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of a Gram matrix.
 
     Gc is the double-centered Gram matrix and dc its diagonal.  Centering
-    keeps ``_covop_report``'s polynomials well conditioned: the sums live on
+    keeps ``_covop_delta``'s polynomials well conditioned: the sums live on
     the scale of the kernel differences themselves.
     Gc is formed and squared tile by tile (``kernels._row_tiles``), so no
     n x n array is made, and ||Gc||_F^2 is the ``math.fsum`` of the tiles'
@@ -388,19 +377,24 @@ def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
     return len(g), float(diag.sum()), sum_dc_sq, frob_sq
 
 
+def _covop_gram_report(variant: str, gram) -> ShrinkageReport:
+    n, *sums = _centered_gram_sums(gram)  # the last is frob_sq
+    return _report(variant, _covop_delta(variant, n, *sums), sums[2] / (n - 1) ** 2)
+
+
 def shrink_covop(gram) -> ShrinkageReport:
     """Shrinkage report for the empirical covariance operator, zero target.
 
     The unbiased risk estimate combines the pair, triple and quadruple sums
-    of squared kernel differences (see ``_covop_report``); the squared norm
+    of squared kernel differences (see ``_covop_delta``); the squared norm
     of the estimate uses the unrestricted sum over i != j, l != m.
     """
-    return _covop_report(GENERAL, *_centered_gram_sums(gram))
+    return _covop_gram_report(GENERAL, gram)
 
 
 def shrink_covop_degen(gram) -> ShrinkageReport:
     """Degenerate-variant report for the covariance operator, zero target."""
-    return _covop_report(DEGENERATE, *_centered_gram_sums(gram))
+    return _covop_gram_report(DEGENERATE, gram)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ Philox generator to ``seed``, which puts it in exactly the state of a new
 ``Philox(key=seed)`` at a fraction of the cost.  Replications run in
 blocks: the datasets of replications ``r`` .. ``r + m - 1`` fill an
 (m, n, d) array of at most ``max(BLOCK_VALUES, n * d)`` draws, so memory
-stays bounded whatever the number of replications.  Each estimator is then
-evaluated on the whole block at once, with reductions fixed so that every
-row equals the one-dataset computation bit for bit; no estimator writes
-to the block.  The Gaussian-kernel embedding forms one Gram per dataset and
-keeps only its trace and entry sum; its coefficients, and one closed-form
-cross term over all the block's points, are then array formulas over the
-block.  Aggregation uses exact (Shewchuk) summation, so the
+stays bounded whatever the number of replications.  Every estimator is
+evaluated on the whole block at once, by the code its one-dataset API runs
+on a block of one (``normalmean.mu_check_c_batch``, ``covmat._shrink_block``)
+or, for the Gaussian-kernel embedding, from each dataset's Gram trace and
+sum, with ``alpha_from`` over the block's arrays.  Reductions are fixed so
+that every row equals the one-dataset computation bit for bit; no estimator
+writes to the block.  Aggregation uses exact (Shewchuk) summation, so the
 reported risk does not depend on accumulation order.
 
 Dispatch
@@ -60,8 +60,7 @@ import numpy as np
 from . import covmat, normalmean
 from .errors import CapabilityError, ParameterError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gram
-from .shrinkage import (DIST_SQ_FLOOR, GENERAL, _mean_stats, alpha_from,
-                        clamped_alpha)
+from .shrinkage import GENERAL, _mean_stats, _snap_alpha, alpha_from
 
 SPHERICAL_GAUSSIAN = "spherical_gaussian"
 DIAG_GAUSSIAN = "diag_gaussian"
@@ -159,6 +158,10 @@ class EstimatorSpec:
     kernel: KernelSpec | None = None
     tau: float | None = None
     variant: str | None = None
+
+    def __post_init__(self):
+        if self.kind == COV_MAT_SHRINK:  # the block route does not check them
+            covmat._check_target(self.tau, self.variant)
 
     @classmethod
     def sample_mean(cls) -> "EstimatorSpec":
@@ -354,16 +357,12 @@ def _shrunk_mean_errors(est, dist, block):
     return np.vecdot(diff, diff), alpha
 
 
-def _cov_plain_error(est, dist, data):
-    xc = data - data.mean(axis=0)
-    diff = xc.T @ xc / (len(data) - 1) - dist.covariance
-    return float(np.sum(diff * diff)), math.nan
-
-
-def _cov_shrink_error(est, dist, data):
-    res = covmat.shrink_cov_matrix(data, tau=est.tau, variant=est.variant)
-    diff = res.shrunk - dist.covariance
-    return float(np.sum(diff * diff)), res.report.alpha
+def _cov_errors(est, dist, block):
+    # shrink_cov_matrix's block code; the plain estimator (no variant) is its C_hat
+    _, _, estimate, report = covmat._shrink_block(block, est.tau, est.variant)
+    diff = (estimate - dist.covariance).reshape(len(block), -1)
+    alpha = np.full(len(block), math.nan) if report is None else report[3]
+    return np.square(diff).sum(axis=1), alpha
 
 
 def _gaussian_embed_errors(est, dist, block):
@@ -372,23 +371,13 @@ def _gaussian_embed_errors(est, dist, block):
     for i, data in enumerate(block):
         g = gram(est.kernel, data).entries
         sums[:, i] = np.trace(g), g.sum()
-    delta, dist_sq = _mean_stats(sums[0], sums[1], n)
-    dist_sq[(DIST_SQ_FLOOR < dist_sq) & (dist_sq < 0.0)] = 0.0
-    alpha = clamped_alpha(delta, dist_sq)
+    dist_sq, _, alpha = _snap_alpha(*_mean_stats(sums[0], sums[1], n))
     w = 1.0 - alpha
     cross = gaussian_kernel_location_moment(
         block.reshape(-1, d), dist.mu, dist.sigma, est.kernel.bandwidth)
     cross = cross.reshape(m, n).mean(axis=1)
     norm_c = _gaussian_embed_moments(est, dist)[1]
     return w * w * dist_sq - 2.0 * w * cross + norm_c, alpha
-
-
-def _each(one):
-    """Apply a one-dataset (error, alpha) function to every row of a block."""
-    def batch(est, dist, block):
-        pairs = np.array([one(est, dist, data) for data in block])
-        return pairs[:, 0], pairs[:, 1]
-    return batch
 
 
 def _mean_moments(est, dist):
@@ -408,8 +397,8 @@ _ROUTES = {
     FIXED_ALPHA_MEAN: (_fixed_alpha_errors, _mean_moments),
     MU_CHECK: (_shrunk_mean_errors, _mean_moments),
     MU_CHECK_C: (_shrunk_mean_errors, _mean_moments),
-    COV_MAT_PLAIN: (_each(_cov_plain_error), None),
-    COV_MAT_SHRINK: (_each(_cov_shrink_error), None),
+    COV_MAT_PLAIN: (_cov_errors, None),
+    COV_MAT_SHRINK: (_cov_errors, None),
     MEAN_EMBED_SHRINK: (_gaussian_embed_errors, _gaussian_embed_moments),
 }
 
@@ -447,8 +436,9 @@ def mc_detail(ests: Sequence[EstimatorSpec], dist: DistSpec, n: int, reps: int,
     The coefficients are nan for estimators without one (sample mean, plain
     covariance).  Replications run in blocks: the datasets of up to
     ``BLOCK_VALUES`` draws (one dataset if it alone is larger) fill an
-    (m, n, d) array, and each estimator is evaluated on the whole block.
-    Every estimator's route is checked before anything is drawn.
+    (m, n, d) array, and every estimator's ``_ROUTES`` block function takes
+    the whole block.  Every estimator's route is checked before anything is
+    drawn.
     """
     if reps < 1:
         raise ParameterError(f"need reps >= 1, got {reps}")
@@ -588,7 +578,6 @@ def _risk_row(est: EstimatorSpec, dist: DistSpec, n: int,
 def _risk_rows(ests, dist: DistSpec, n: int, reps: int,
                seed: int) -> tuple[list[dict], np.ndarray]:
     """Risk rows of estimators on shared datasets, with their per-replication errors."""
-    _check_min_reps(reps)
     errs = mc_detail(ests, dist, n, reps, seed)[0]
     rows = [_risk_row(est, dist, n, summarize_errors(e, reps, seed))
             for est, e in zip(ests, errs)]
@@ -603,12 +592,21 @@ def _paired_summary(est_a, est_b, errs_a, errs_b, reps, seed) -> dict:
 
 def run_experiment(name: str, *, reps: int | None = None, seed: int = DEFAULT_SEED,
                    n_grid: Optional[list[int]] = None) -> dict:
-    """Run a canned simulation and return a JSON-ready result dict."""
+    """Run a canned simulation and return a JSON-ready result dict.
+
+    ``n_grid`` (three or more sample sizes >= 2, for the consistency
+    experiment's rate fit) and ``reps`` are checked before anything is drawn.
+    """
     if name not in _EXPERIMENTS:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {experiment_names()}")
+    if n_grid is not None and (name != "consistency" or len(n_grid) < 3
+                               or min(n_grid) < 2):
+        raise ParameterError("n_grid takes 3 or more sample sizes >= 2, for the "
+                             f"consistency experiment only; got {n_grid} for {name}")
     description, default_reps = _EXPERIMENTS[name]
     reps = default_reps if reps is None else reps
+    _check_min_reps(reps)
     out: dict = {"experiment": name, "description": description,
                  "seed": seed, "results": []}
 
@@ -625,7 +623,7 @@ def run_experiment(name: str, *, reps: int | None = None, seed: int = DEFAULT_SE
         return out
 
     if name == "consistency":
-        grid = [25, 50, 100, 200] if not n_grid else list(n_grid)
+        grid = [25, 50, 100, 200] if n_grid is None else list(n_grid)
         dist = DistSpec.spherical_gaussian(np.array([1.0, 0.0]), 1.0)
         est = EstimatorSpec.mean_embed_shrink(KernelSpec.gaussian(1.0))
         out["results"] = rows = []

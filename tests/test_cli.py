@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ushrink import simulate
 from ushrink.cli import UsageError, main, parse_args, read_dataset
 
 TWO_BY_FIVE = "2,0,0,0,0\n0,2,0,0,0\n"
@@ -221,10 +222,17 @@ class TestSimulateCommand:
         assert lines[0] == "config,estimator,n,d,reps,mse,stderr"
         assert len(lines) == 3
 
-    def test_n_grid_only_for_consistency(self, capsys):
-        with pytest.raises(UsageError, match="n-grid"):
-            parse_args(["simulate", "--experiment", "mean-improvement",
-                        "--n-grid", "4,5"])
+    @pytest.mark.parametrize("experiment, grid", [
+        ("mean-improvement", "4,5,6"), ("oracle", "10,20,30"), ("consistency", "25,50"),
+    ])
+    def test_n_grid_only_for_consistency(self, capsys, monkeypatch, experiment, grid):
+        # refused by run_experiment before any replication is drawn
+        monkeypatch.setattr(simulate, "sample", None)
+        code, out, err = run_cli(capsys, "simulate", "--experiment", experiment,
+                                 "--n-grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n_grid")
 
 
 class TestCheckCommand:

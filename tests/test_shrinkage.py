@@ -29,7 +29,7 @@ from ushrink import (
     shrink_mean,
     u_stat_perm,
 )
-from ushrink.shrinkage import _centered_gram_sums, _report, clamped_alpha
+from ushrink.shrinkage import DIST_SQ_FLOOR, _centered_gram_sums, _report, _snap_alpha
 
 # finite doubles, subnormals and both zeros included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -69,20 +69,41 @@ class TestAlphaFrom:
     @given(FINITE)
     def test_zero_denominator_gives_zero(self, delta):
         assert alpha_from(delta, -delta) == (0.0, 0.0)
-        assert clamped_alpha(np.array([delta]), np.array([-delta])).tolist() == [0.0]
+        raw, alpha = alpha_from(np.array([delta]), np.array([-delta]))
+        assert raw.tolist() == alpha.tolist() == [0.0]
+
+    def test_snap_to_zero(self):
+        # only squared distances in (DIST_SQ_FLOOR, 0) count as rounding
+        dist_sq = [-1e-10, -0.0, DIST_SQ_FLOOR, -1e-3, 0.5]
+        snapped, raw, alpha = _snap_alpha(np.full(5, 0.25), np.array(dist_sq))
+        assert snapped.tolist() == [0.0, 0.0, DIST_SQ_FLOOR, -1e-3, 0.5]
+        assert np.signbit(snapped).tolist() == [False, True, True, True, False]
+        for i, value in enumerate(dist_sq):  # the one-dataset report agrees
+            report = _report(GENERAL, 0.25, value)
+            assert (report.dist_sq, report.alpha_raw, report.alpha) == (
+                snapped[i], raw[i], alpha[i])
+
+    def test_floats_give_floats(self):
+        assert all(type(v) is float for v in alpha_from(1.0, 3.0))
+        assert all(type(v) is float for v in alpha_from(np.float64(1.0), 3))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
     # numpy's fmax keeps -0.0 on its SIMD path, which needs a longer array
     @example([(-0.0, 2.0)] * 8)
-    def test_clamped_alpha_matches_elementwise(self, pairs):
-        # the array form used by batched Monte Carlo replication, bit for bit
+    def test_arrays_match_pairs(self, pairs):
+        # the array form used by batched Monte Carlo replication, bit for bit,
+        # and each pair against the coefficient in Python float arithmetic
         pairs = [(d, s) for d, s in pairs if math.isfinite(d + s)]
         assume(pairs)
         delta, dist_sq = (np.array(v) for v in zip(*pairs))
-        got = clamped_alpha(delta, dist_sq)
-        want = np.array([alpha_from(d, s)[1] for d, s in pairs])
-        assert got.tobytes() == want.tobytes()  # signed zeros included
+        got = alpha_from(delta, dist_sq)
+        want = np.array([alpha_from(d, s) for d, s in pairs]).T
+        for g, w in zip(got, want):  # raw, then clamped
+            assert g.tobytes() == w.tobytes()  # signed zeros included
+        raws = [0.0 if d + s == 0.0 else d / (d + s) for d, s in pairs]
+        clamped = [min(1.0, max(0.0, raw)) for raw in raws]
+        assert want.tobytes() == np.array([raws, clamped]).tobytes()
 
     @pytest.mark.parametrize("delta, dist_sq", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
@@ -96,10 +117,10 @@ class TestAlphaFrom:
             with pytest.raises(ValueError, match="overflow"):
                 _report(GENERAL, delta, dist_sq)
             with pytest.raises(ValueError, match=r"overflow.*delta_hat=1e\+308"):
-                clamped_alpha(np.array([0.5, 1e308, delta]),
-                              np.array([1.0, 1e308, dist_sq]))
+                alpha_from(np.array([0.5, 1e308, delta]),
+                           np.array([1.0, 1e308, dist_sq]))
             with pytest.raises(ValueError, match="overflow"):
-                clamped_alpha(np.array([1.0, delta]), np.array([2.0, dist_sq]))
+                alpha_from(np.array([1.0, delta]), np.array([2.0, dist_sq]))
 
 
 class TestDeltaGeneral:

@@ -22,6 +22,7 @@ from ushrink import (
     rate_slope,
     run_experiment,
     sample,
+    shrink_cov_matrix,
     shrink_mean,
 )
 from ushrink import normalmean, simulate
@@ -293,6 +294,20 @@ class TestExperiments:
         with pytest.raises(ParameterError):
             run_experiment("nope")
 
+    @pytest.mark.parametrize("name, kwargs, match", [
+        ("oracle", {"n_grid": [10, 20, 30]}, r"consistency.*\[10, 20, 30\] for oracle"),
+        ("mean-improvement", {"n_grid": [5, 10, 20]}, "consistency"),
+        ("consistency", {"n_grid": [25, 50]}, r"3 or more.*\[25, 50\]"),
+        ("consistency", {"n_grid": []}, "3 or more"),
+        ("consistency", {"n_grid": [25, 1, 50]}, ">= 2"),
+        ("consistency", {"reps": 99}, "reps"),
+    ])
+    def test_arguments_checked_before_sampling(self, monkeypatch, name, kwargs,
+                                                match):
+        monkeypatch.setattr(simulate, "sample", None)  # any draw would fail
+        with pytest.raises(ParameterError, match=match):
+            run_experiment(name, **kwargs)
+
 
 DISTS = {
     "spherical": DistSpec.spherical_gaussian(np.array([1.0, -0.5, 2.0]), 1.3),
@@ -337,21 +352,31 @@ class TestBatchedReplication:
     N, SEED = 6, 900
 
     @staticmethod
-    def loop(est, dist, n, reps, seed):
+    def loop(est, dist, n, rows, seed):
         errs, alphas = [], []
-        for r in range(reps):
+        for r in rows:
             data = sample(dist, n, seed + r)
             if est.kind == "sample_mean":
                 diff, alpha = data.mean(axis=0) - dist.mean, math.nan
             elif est.kind == "fixed_alpha_mean":
                 diff = (1.0 - est.alpha) * data.mean(axis=0) - dist.mean
                 alpha = est.alpha
+            elif est.kind == "cov_mat_plain":
+                diff, alpha = shrink_cov_matrix(data).c_hat - dist.covariance, math.nan
+            elif est.kind == "cov_mat_shrink":
+                res = shrink_cov_matrix(data, tau=est.tau, variant=est.variant)
+                diff, alpha = res.shrunk - dist.covariance, res.report.alpha
             else:
                 res = normalmean.mu_check_c(data, 1.0 if est.c is None else est.c)
                 diff, alpha = res.estimate - dist.mean, res.alpha
-            errs.append(float(diff @ diff))
+            errs.append(float(diff @ diff) if diff.ndim == 1
+                        else float(np.sum(diff * diff)))
             alphas.append(alpha)
         return np.array(errs), np.array(alphas)
+
+    COV_ESTS = [EstimatorSpec.cov_mat_plain(),
+                EstimatorSpec.cov_mat_shrink(tau=1.0),
+                EstimatorSpec.cov_mat_shrink(tau=0.5, variant=DEGENERATE)]
 
     @pytest.mark.parametrize("name", sorted(DISTS))
     @pytest.mark.parametrize("est", [
@@ -360,24 +385,33 @@ class TestBatchedReplication:
         EstimatorSpec.mu_check(),
         EstimatorSpec.mu_check_c(0.6),
         EstimatorSpec.mean_embed_shrink(KernelSpec.linear()),
+        *COV_ESTS,
     ], ids=lambda est: est.label())
     def test_matches_loop(self, name, est):
         dist = DISTS[name]
         per_block = simulate.BLOCK_VALUES // (self.N * dist.dim)
         reps = per_block + 37  # one full block and part of a second
         (errs,), (alphas,) = mc_detail((est,), dist, self.N, reps, self.SEED)
-        ref_errs, ref_alphas = self.loop(est, dist, self.N, reps, self.SEED)
+        ref_errs, ref_alphas = self.loop(est, dist, self.N, range(reps), self.SEED)
         assert np.array_equal(errs, ref_errs)
         assert np.array_equal(alphas, ref_alphas, equal_nan=True)
 
-    def test_per_replication_estimators_see_block_rows(self):
-        dist = DistSpec.spherical_gaussian(np.zeros(2), 1.0)
-        errs = mc_detail((EstimatorSpec.cov_mat_plain(),), dist, 5, 100, 60)[0][0]
-        for r in (0, 57, 99):
-            xc = sample(dist, 5, 60 + r)
-            xc = xc - xc.mean(axis=0)
-            diff = xc.T @ xc / 4 - dist.covariance
-            assert errs[r] == float(np.sum(diff * diff))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", [5, 10, 20, 160])
+    def test_covariance_shapes_match_loop(self, d, n):
+        # the (n, d) of criterion 11 and the cov_mat Monte Carlo tests: the
+        # stacked products must give every row the one-dataset bits; rows
+        # checked are every 7th and all from five before the block boundary on
+        dist = DistSpec.diag_gaussian(np.linspace(-1.0, 1.0, d),
+                                      np.linspace(0.5, 2.0, d))
+        per_block = simulate.BLOCK_VALUES // (n * d)
+        reps = per_block + 5
+        rows = sorted(set(range(0, reps, 7)) | set(range(per_block - 5, reps)))
+        errs, alphas = mc_detail(self.COV_ESTS, dist, n, reps, self.SEED)
+        for k, est in enumerate(self.COV_ESTS):
+            ref_errs, ref_alphas = self.loop(est, dist, n, rows, self.SEED)
+            assert np.array_equal(errs[k, rows], ref_errs), est.label()
+            assert np.array_equal(alphas[k, rows], ref_alphas, equal_nan=True)
 
     @pytest.mark.parametrize("n", [2, 3, 25, 200])
     @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 4.0])
@@ -540,6 +574,19 @@ class TestSharedEngine:
         with pytest.raises(CapabilityError):
             mc_detail((EstimatorSpec.sample_mean(), gauss_embed),
                       DISTS["uniform"], self.N, 100, 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EstimatorSpec.cov_mat_shrink(tau=math.nan),
+        lambda: EstimatorSpec.cov_mat_shrink(tau=-1.0),
+        lambda: EstimatorSpec.cov_mat_shrink(tau=math.inf),
+        lambda: EstimatorSpec.cov_mat_shrink(variant="degen"),  # the CLI spelling
+        lambda: EstimatorSpec("cov_mat_shrink"),
+        lambda: EstimatorSpec("cov_mat_shrink", tau=1.0, variant="degen"),
+    ], ids=["nan", "negative", "inf", "degen", "direct-none", "direct-degen"])
+    def test_cov_shrink_spec_checked_before_sampling(self, monkeypatch, make):
+        monkeypatch.setattr(simulate, "sample", None)  # any draw would fail
+        with pytest.raises(ParameterError):
+            mc_detail((make(),), DISTS["spherical"], self.N, 100, 0)
 
     def test_no_estimators_rejected(self):
         with pytest.raises(ParameterError, match="at least one estimator"):
