@@ -9,8 +9,9 @@ end-to-end metrics (from the untraced run) and per-layer metrics (from the
 traced run, ``layers`` in each pair), the median and quartiles of each side,
 the number of pairs the ``after`` side wins on each metric (``summary`` and
 ``layer_summary``), and the machine.  Both checkouts must contain the same
-``perfbench/`` and ``BENCHMARK.json``; run nothing else on the machine
-meanwhile.
+``perfbench/*.py`` and ``BENCHMARK.json``: before the first run it compares
+their bytes and exits 1 naming the first file that differs.  Run nothing
+else on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -54,6 +55,21 @@ def _summary(metrics: dict, runs: list[dict]) -> dict:
     return summary
 
 
+def _benchmark_files(checkout: Path) -> set[str]:
+    return {"BENCHMARK.json",
+            *(p.relative_to(checkout).as_posix()
+              for p in (checkout / "perfbench").glob("*.py"))}
+
+
+def _first_difference(before: Path, after: Path) -> str | None:
+    """The first benchmark file (by name) not byte-identical in both checkouts."""
+    for name in sorted(_benchmark_files(before) | _benchmark_files(after)):
+        a, b = before / name, after / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -88,6 +104,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
 
+    differs = _first_difference(args.before, args.after)
+    if differs is not None:
+        print(f"error: {differs} differs between {args.before} and {args.after}; "
+              "both sides must run the same benchmark", file=sys.stderr)
+        return 1
     spec = json.loads((args.before / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     layer_metrics = {m["name"]: m["better"] for m in spec["per_layer"]}

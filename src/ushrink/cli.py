@@ -42,7 +42,7 @@ from .covmat import shrink_cov_matrix
 from .normalmean import default_c, mu_check_c
 from .selfcheck import run_checks
 from .shrinkage import DEGENERATE, GENERAL, TargetSpec, evaluate_mean, shrink_mean
-from .simulate import DEFAULT_SEED, MIN_REPS, experiment_names, run_experiment
+from .simulate import DEFAULT_SEED, experiment_names, run_experiment
 
 
 # --kernel value that reads the input as a Gram matrix (``load_gram_csv``)
@@ -164,9 +164,6 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(f"--c must lie in (0, 2), got {config.c}")
         if config.output == "csv":
             raise UsageError("normal-mean supports only --output json")
-    if config.subcommand == "simulate":
-        if config.reps is not None and config.reps < MIN_REPS:
-            raise UsageError(f"--reps must be at least {MIN_REPS}, got {config.reps}")
     return config
 
 

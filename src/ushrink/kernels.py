@@ -3,7 +3,11 @@
 Every estimator in this package consumes data only through pairwise kernel
 evaluations, so the n x n Gram matrix is the sufficient statistic for all
 downstream computations.  Three kernel families are provided; a Gram matrix
-computed elsewhere is loaded with ``load_gram_csv``.
+computed elsewhere is loaded with ``load_gram_csv``.  A ``GramMatrix`` reduces
+its entries to the few sums the shrinkage estimators need (trace and total,
+and the sums of the double-centered matrix) at most once each, when first
+asked, and keeps them; its entries are read-only, so the sums cannot go
+stale.
 
 Parameterizations:
 
@@ -34,6 +38,7 @@ cone; supplying a PSD matrix is the caller's responsibility.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import sys
@@ -130,13 +135,69 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetrized n x n matrix of pairwise kernel evaluations."""
+    """Symmetrized n x n matrix of pairwise kernel evaluations.
+
+    ``entries`` is stored as a read-only view (the array passed in keeps its
+    own flags), so the statistics the shrinkage estimators read from it are
+    computed once per ``GramMatrix``, on first use, and cannot go stale:
+    the trace and the entry sum (``_gram_sums``), and the sums of the
+    double-centered Gram (``_centered_sums``).
+    """
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries).view()
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @functools.cached_property
+    def _trace_total(self) -> tuple[float, float]:
+        return _gram_sums(self.entries)
+
+    @functools.cached_property
+    def _centered(self) -> tuple[float, float, float]:
+        return _centered_sums(self.entries, self._trace_total[1])
+
+
+def _gram_sums(g: np.ndarray) -> tuple[float, float]:
+    """Trace and sum of the entries of an n x n array.
+
+    An overflow comes out inf or nan; ``shrinkage.alpha_from`` raises on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(g.trace()), float(g.sum())
+
+
+def _centered_sums(g: np.ndarray, total: float) -> tuple[float, float, float]:
+    """sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of an n x n array with sum ``total``.
+
+    Gc is the double-centered matrix and dc its diagonal.  The grand mean is
+    total / n^2, bit for bit ``g.mean()`` (the same pairwise sum, divided by
+    n^2), so the pass reads the array for its row means and once more for
+    the tiles.  Gc is formed and squared tile by tile (``_row_tiles``), so
+    no second n x n array is made, and ||Gc||_F^2 is the ``math.fsum`` of
+    the tiles' sums (their plain sum when that overflows): bit for bit the
+    one-array sum up to 90 points (one tile).
+    """
+    n = len(g)
+    diag, parts = np.empty(n), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_mean = g.mean(axis=1, keepdims=True)
+        mean = total / (n * n)
+        for rows, gc in _row_tiles(*g.shape):
+            np.subtract(g[rows], row_mean[rows], out=gc)
+            gc -= row_mean.T
+            gc += mean
+            diag[rows] = np.diagonal(gc, rows.start)
+            parts.append(float(np.square(gc, out=gc).sum()))
+        sum_dc_sq = float((diag * diag).sum())
+    frob_sq = math.fsum(parts) if math.isfinite(plain := sum(parts)) else plain
+    return float(diag.sum()), sum_dc_sq, frob_sq
 
 
 def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], float]:

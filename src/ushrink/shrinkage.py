@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientSampleError
-from .kernels import GramMatrix, KernelSpec, _row_tiles, as_dataset, kernel_function
+from .kernels import GramMatrix, KernelSpec, as_dataset, kernel_function
 from .ustat import comb_weights, u_stat_perm
 
 GENERAL = "general"
@@ -144,10 +144,17 @@ def _report(variant: str, delta: float, dist_sq: float) -> ShrinkageReport:
                            alpha_raw=raw, alpha=alpha, variant=variant)
 
 
-def _entries(gram) -> np.ndarray:
-    g = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {g.shape}")
+def _gram(gram) -> GramMatrix:
+    """``gram`` as a square ``GramMatrix``.
+
+    A raw array is wrapped in a view, not copied, so its statistics are
+    computed again on every call; a ``GramMatrix`` computes them once.
+    """
+    g = gram if isinstance(gram, GramMatrix) else GramMatrix(
+        np.asarray(gram, dtype=float))
+    shape = g.entries.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"Gram matrix must be square, got shape {shape}")
     return g
 
 
@@ -254,13 +261,9 @@ def shrink_mean(
         The shrunk element carries weights (1 - alpha)/n on the data kernel
         sections and alpha * coefficients on the landmark sections.
     """
-    g = _entries(gram)
-    n = g.shape[0]
-    # an overflow here comes out inf or nan and alpha_from raises on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(np.trace(g))
-        total = float(g.sum())
-    delta, mean_all = _mean_stats(trace, total, n)
+    g = _gram(gram)
+    n = g.n
+    delta, mean_all = _mean_stats(*g._trace_total, n)
     if target is None:
         dist_sq = mean_all
     else:
@@ -354,27 +357,13 @@ def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
 
     Gc is the double-centered Gram matrix and dc its diagonal.  Centering
     keeps ``_covop_delta``'s polynomials well conditioned: the sums live on
-    the scale of the kernel differences themselves.
-    Gc is formed and squared tile by tile (``kernels._row_tiles``), so no
-    n x n array is made, and ||Gc||_F^2 is the ``math.fsum`` of the tiles'
-    sums (their plain sum when that overflows): bit for bit the one-array
-    sum up to 90 points (one tile).
+    the scale of the kernel differences themselves.  The sums come from one
+    tiled pass, ``kernels._centered_sums``, which a ``GramMatrix`` runs once
+    and shares between both covariance-operator variants.
     """
-    g = _entries(gram)
-    _check_covop_n(len(g))
-    diag, parts = np.empty(len(g)), []
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_mean = g.mean(axis=1, keepdims=True)
-        mean = g.mean()
-        for rows, gc in _row_tiles(*g.shape):
-            np.subtract(g[rows], row_mean[rows], out=gc)
-            gc -= row_mean.T
-            gc += mean
-            diag[rows] = np.diagonal(gc, rows.start)
-            parts.append(float(np.square(gc, out=gc).sum()))
-        sum_dc_sq = float((diag * diag).sum())
-    frob_sq = math.fsum(parts) if math.isfinite(total := sum(parts)) else total
-    return len(g), float(diag.sum()), sum_dc_sq, frob_sq
+    g = _gram(gram)
+    _check_covop_n(g.n)
+    return (g.n, *g._centered)
 
 
 def _covop_gram_report(variant: str, gram) -> ShrinkageReport:
@@ -434,7 +423,7 @@ def dual_norm_sq(
     cross block C and target block T.  The blocks may be omitted when the
     element carries no target weights.
     """
-    g = _entries(gram)
+    g = _gram(gram).entries
     w = element.data_weights
     value = float(w @ g @ w)
     t = element.target_weights

@@ -160,7 +160,13 @@ class EstimatorSpec:
     variant: str | None = None
 
     def __post_init__(self):
-        if self.kind == COV_MAT_SHRINK:  # the block route does not check them
+        # the block routes do not check their parameters
+        if self.kind == MU_CHECK_C and not (self.c is not None and 0.0 < self.c < 2.0):
+            raise ParameterError(f"damping constant c must lie in (0, 2), got {self.c}")
+        if self.kind == FIXED_ALPHA_MEAN and not (
+                self.alpha is not None and 0.0 <= self.alpha <= 1.0):
+            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.kind == COV_MAT_SHRINK:
             covmat._check_target(self.tau, self.variant)
 
     @classmethod
@@ -173,14 +179,10 @@ class EstimatorSpec:
 
     @classmethod
     def mu_check_c(cls, c: float) -> "EstimatorSpec":
-        if not 0.0 < c < 2.0:
-            raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
         return cls(MU_CHECK_C, c=float(c))
 
     @classmethod
     def fixed_alpha_mean(cls, alpha: float) -> "EstimatorSpec":
-        if not 0.0 <= alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
         return cls(FIXED_ALPHA_MEAN, alpha=float(alpha))
 
     @classmethod
@@ -367,11 +369,9 @@ def _cov_errors(est, dist, block):
 
 def _gaussian_embed_errors(est, dist, block):
     m, n, d = block.shape
-    sums = np.empty((2, m))  # trace and entry sum of each dataset's Gram
-    for i, data in enumerate(block):
-        g = gram(est.kernel, data).entries
-        sums[:, i] = np.trace(g), g.sum()
-    dist_sq, _, alpha = _snap_alpha(*_mean_stats(sums[0], sums[1], n))
+    # trace and entry sum of each dataset's Gram
+    sums = np.array([gram(est.kernel, data)._trace_total for data in block]).T
+    dist_sq, _, alpha = _snap_alpha(*_mean_stats(*sums, n))
     w = 1.0 - alpha
     cross = gaussian_kernel_location_moment(
         block.reshape(-1, d), dist.mu, dist.sigma, est.kernel.bandwidth)

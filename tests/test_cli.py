@@ -47,9 +47,14 @@ class TestParseArgs:
         assert config.tau == 1.0
         assert config.variant == "degen"
 
-    def test_simulate_reps_floor(self):
-        with pytest.raises(UsageError, match="reps"):
-            parse_args(["simulate", "--experiment", "mean-improvement", "--reps", "50"])
+    def test_simulate_reps_floor(self, capsys, monkeypatch):
+        # refused by run_experiment before any replication is drawn
+        monkeypatch.setattr(simulate, "sample", None)
+        code, out, err = run_cli(capsys, "simulate", "--experiment",
+                                 "mean-improvement", "--reps", "50")
+        assert code == 1
+        assert out == ""
+        assert err == "error: need reps >= 100, got 50\n"
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError):

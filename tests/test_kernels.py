@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ushrink import (
+    GramMatrix,
     KernelSpec,
     ParameterError,
     gram,
@@ -323,6 +324,30 @@ def _write_csv(tmp_path, m):
     path = tmp_path / "gram.csv"
     np.savetxt(path, m, delimiter=",")
     return path
+
+
+class TestReadOnlyEntries:
+    # the statistics a GramMatrix caches are computed from its entries once,
+    # so the entries cannot be written through it
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_gram_entries_read_only(self, spec):
+        g = gram(spec, np.random.default_rng(1).normal(size=(5, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            g.entries[0, 1] = 2.0
+
+    def test_loaded_entries_read_only(self, tmp_path):
+        g = load_gram_csv(_write_csv(tmp_path, np.eye(3)))
+        with pytest.raises(ValueError, match="read-only"):
+            g.entries[0, 0] = 2.0
+
+    def test_caller_array_keeps_its_flags(self):
+        arr = np.eye(4)
+        g = GramMatrix(arr)
+        assert arr.flags.writeable
+        assert np.shares_memory(g.entries, arr)  # a view, not a copy
+        arr[0, 0] = 3.0
+        assert g.entries[0, 0] == 3.0
 
 
 def test_load_gram_csv_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from ushrink import kernels
 from ushrink import (
     DEGENERATE,
     GENERAL,
@@ -22,6 +23,7 @@ from ushrink import (
     evaluate_mean,
     gram,
     kernel_function,
+    load_gram_csv,
     mean_inner,
     shrink_cov_matrix,
     shrink_covop,
@@ -376,6 +378,61 @@ class TestShrinkCovop:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * n * n * 8
+
+
+def _reports(g, order):
+    run = {"mean": lambda: shrink_mean(g)[1], "general": lambda: shrink_covop(g),
+           "degenerate": lambda: shrink_covop_degen(g)}
+    return {name: repr(run[name]()) for name in order}  # repr keeps every bit
+
+
+class TestGramStatistics:
+    # a GramMatrix computes its trace, total and centered sums once and every
+    # report reads them from there
+
+    ORDERS = [("mean", "general", "degenerate"), ("degenerate", "general", "mean")]
+
+    @pytest.mark.parametrize("n", [4, 90, 91, 500])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_shared_statistics_match_raw_array(self, spec, n):
+        data = np.random.default_rng(n).normal(size=(n, 3))
+        raw = _reports(gram(spec, data).entries.copy(), self.ORDERS[0])
+        for order in self.ORDERS:
+            assert _reports(gram(spec, data), order) == raw
+
+    def test_loaded_gram_matches_raw_array(self, tmp_path):
+        x = np.random.default_rng(5).normal(size=(91, 3))
+        path = tmp_path / "gram.csv"
+        np.savetxt(path, np.exp(-np.square(x[:, None] - x[None]).sum(-1) / 3.0),
+                   delimiter=",")
+        raw = _reports(load_gram_csv(path).entries.copy(), self.ORDERS[0])
+        for order in self.ORDERS:
+            assert _reports(load_gram_csv(path), order) == raw
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"_gram_sums": 0, "_centered_sums": 0}
+        for name in calls:
+            original = getattr(kernels, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    def test_each_statistic_computed_once(self, counts):
+        g = gram(KernelSpec.gaussian(2.0), np.random.default_rng(3).normal(size=(50, 2)))
+        first = _reports(g, self.ORDERS[1])
+        assert counts == {"_gram_sums": 1, "_centered_sums": 1}
+        assert _reports(g, self.ORDERS[0]) == first
+        assert counts == {"_gram_sums": 1, "_centered_sums": 1}
+
+    def test_raw_array_computed_per_call(self, counts):
+        g = gram(LINEAR, np.random.default_rng(3).normal(size=(50, 2))).entries
+        _reports(g, self.ORDERS[0])
+        assert counts == {"_gram_sums": 3, "_centered_sums": 2}
 
 
 class TestEvaluateMean:

@@ -588,6 +588,27 @@ class TestSharedEngine:
         with pytest.raises(ParameterError):
             mc_detail((make(),), DISTS["spherical"], self.N, 100, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: EstimatorSpec("mu_check_c", c=5.0),
+        lambda: EstimatorSpec("mu_check_c", c=0.0),
+        lambda: EstimatorSpec("mu_check_c", c=math.nan),
+        lambda: EstimatorSpec("mu_check_c", c=math.inf),
+        lambda: EstimatorSpec("mu_check_c"),
+        lambda: EstimatorSpec.mu_check_c(2.0),
+        lambda: EstimatorSpec("fixed_alpha_mean", alpha=3.0),
+        lambda: EstimatorSpec("fixed_alpha_mean", alpha=-0.1),
+        lambda: EstimatorSpec("fixed_alpha_mean", alpha=math.nan),
+        lambda: EstimatorSpec("fixed_alpha_mean", alpha=math.inf),
+        lambda: EstimatorSpec("fixed_alpha_mean"),
+        lambda: EstimatorSpec.fixed_alpha_mean(1.5),
+    ], ids=["c-large", "c-zero", "c-nan", "c-inf", "c-none", "c-classmethod",
+            "alpha-large", "alpha-negative", "alpha-nan", "alpha-inf", "alpha-none",
+            "alpha-classmethod"])
+    def test_mean_spec_checked_before_sampling(self, monkeypatch, make):
+        monkeypatch.setattr(simulate, "sample", None)  # any draw would fail
+        with pytest.raises(ParameterError):
+            mc_detail((make(),), DISTS["spherical"], self.N, 100, 0)
+
     def test_no_estimators_rejected(self):
         with pytest.raises(ParameterError, match="at least one estimator"):
             mc_detail((), DISTS["spherical"], self.N, 100, 0)
