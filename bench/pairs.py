@@ -10,8 +10,10 @@ traced run, ``layers`` in each pair), the median and quartiles of each side,
 the number of pairs the ``after`` side wins on each metric (``summary`` and
 ``layer_summary``), and the machine.  Both checkouts must contain the same
 ``perfbench/*.py`` and ``BENCHMARK.json``: before the first run it compares
-their bytes and exits 1 naming the first file that differs.  Run nothing
-else on the machine meanwhile.
+their bytes and exits 1 naming the first file that differs.  It also exits 1
+when the two checkouts' resolved paths differ in length, because
+``peak_rss_mb`` moves with that length on every workload.  Run nothing else
+on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ def main(argv=None) -> int:
     if differs is not None:
         print(f"error: {differs} differs between {args.before} and {args.after}; "
               "both sides must run the same benchmark", file=sys.stderr)
+        return 1
+    before, after = args.before.resolve(), args.after.resolve()
+    if len(str(before)) != len(str(after)):
+        print(f"error: the checkout paths {before} and {after} differ in length "
+              f"({len(str(before))} and {len(str(after))} characters); peak_rss_mb "
+              "moves with that length, so put both in paths of equal length",
+              file=sys.stderr)
         return 1
     spec = json.loads((args.before / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}

@@ -10,6 +10,10 @@ distance to the target tau I, the moment identities behind them, and the
 shrunk matrix (1 - alpha) C_hat + alpha tau I, where C_hat is the unbiased
 sample covariance, on (m, n, d) blocks of datasets (``_shrink_block``): the
 one-dataset functions pass a block of one, the Monte Carlo harness a block.
+The data are centered one row tile at a time (``_moments``), so a dataset
+is held once, beside a 64 KiB tile (d x d values once d > 90); up to 8192
+values (n d) a dataset is one tile and its results have the untiled
+formulas' bits, and above that they can move in the last bits.
 
 The two risk estimates are polynomials in sum_fourth = sum_i ||X_i - Xbar||^4,
 tr_s2 = Tr[Sigma_hat^2] and tr_sq = Tr^2[Sigma_hat]; with c = C(n,2) P(n,4),
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
-from .kernels import as_dataset
+from .kernels import _fsum_tiles, _row_tiles, as_dataset
 from .shrinkage import (
     DEGENERATE,
     GENERAL,
@@ -54,7 +58,7 @@ class SpectralSummaries:
     tr_sq: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovShrinkResult:
     """Sample covariance, its unbiased version, the shrunk matrix, report."""
 
@@ -76,21 +80,37 @@ def _moments(block: np.ndarray):
     """Sigma_hat, Tr[Sigma_hat], Tr[Sigma_hat^2] and sum_i ||X_i - Xbar||^4.
 
     ``block`` is an (m, n, d) stack of validated datasets, and each result is
-    indexed by dataset first.  Products are stacked ``np.matmul`` calls and
-    reductions run along each dataset's own axes, so a dataset gives the
-    same bits in any block, one included.  Raises ``ValueError`` when a sum
-    overflows float64 (Tr[Sigma_hat^2] = ||Sigma_hat||_F^2 covers Sigma_hat).
+    indexed by dataset first.  The data are centered a tile of rows at a
+    time (``kernels._row_tiles``), so no second n x d array is formed: each
+    tile adds its Xc^T Xc to n Sigma_hat and its rows' ||X_i - Xbar||^4 to
+    the fourth sum.  A tile holds 8192 // d rows (64 KiB for one dataset),
+    or d rows once d > 90, so that a tile is never smaller than the d x d
+    part it adds and Sigma_hat costs the n d^2 of one product at any d.
+    A dataset of at most one tile (n d <= 8192 values) gets the bits of the
+    untiled formulas.  Above one tile the d x d parts are added in turn and
+    the fourth sums combined by ``math.fsum`` (``kernels._fsum_tiles``),
+    which can move the last bits.  Products are stacked ``np.matmul`` calls
+    and reductions run along each dataset's own axes, so a dataset gives
+    the same bits in any block, one included.  Raises ``ValueError`` when a
+    sum overflows float64 (Tr[Sigma_hat^2] = ||Sigma_hat||_F^2 covers
+    Sigma_hat).
     """
-    n = block.shape[1]
+    m, n, d = block.shape
     if n < 2:
         raise InsufficientSampleError(f"need at least 2 observations, got {n}")
+    fourth = []
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = block - block.mean(axis=1, keepdims=True)
-        s = xc.mT @ xc / n
+        mean = block.mean(axis=1, keepdims=True)
+        for rows, xc in _row_tiles(n, d, (m,), min_rows=d):
+            np.subtract(block[:, rows], mean, out=xc)
+            part = xc.mT @ xc
+            s = part if rows.start == 0 else s + part
+            sq_norms = np.square(xc, out=xc).sum(axis=2)
+            fourth.append(np.square(sq_norms, out=sq_norms).sum(axis=1))
+        s = s / n
         s = (s + s.mT) / 2.0
-        sq_norms = np.sum(xc * xc, axis=2)
         sums = (np.trace(s, axis1=1, axis2=2), np.trace(s @ s, axis1=1, axis2=2),
-                np.sum(sq_norms * sq_norms, axis=1))
+                _fsum_tiles(fourth))
     finite = np.isfinite(sums).all(axis=0)
     if not finite.all():
         bad = [float(v[np.argmin(finite)]) for v in sums]
@@ -212,10 +232,12 @@ def shrink_cov_matrix(data, tau: float = 1.0,
 
     ``variant`` selects the general or the degenerate risk estimate; the
     shrunk matrix is (1 - alpha) C_hat + alpha tau I with alpha the clamped
-    plug-in coefficient.  The data are validated, centered and reduced to
-    Sigma_hat once, and the report comes from the covariance-operator
-    formula of ``shrinkage`` on the linear-kernel sums.  This is the Monte
-    Carlo harness's block code (``_shrink_block``) on a block of one.
+    plug-in coefficient.  The data are validated, then centered and reduced
+    to Sigma_hat and the three summaries in one pass of row tiles
+    (``_moments``), without a second n x d array; the report comes from the
+    covariance-operator formula of ``shrinkage`` on the linear-kernel sums.
+    This is the Monte Carlo harness's block code (``_shrink_block``) on a
+    block of one.
     """
     _check_target(tau, variant)
     x = as_dataset(data)

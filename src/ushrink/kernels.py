@@ -89,9 +89,11 @@ def as_dataset(data) -> np.ndarray:
         raise ValueError(f"dataset must be 1-D or 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("dataset is empty")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = np.argwhere(~finite)
+    # nan propagates through min and max and an infinity is one of them, so
+    # the usual case forms no boolean array the size of the data
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = np.argwhere(~np.isfinite(arr))
         row, col = bad[0]
         raise ValueError(
             f"dataset has {len(bad)} non-finite value(s) (nan or inf); "
@@ -133,7 +135,7 @@ class KernelSpec:
         return cls(EXPONENTIAL, scale=float(scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetrized n x n matrix of pairwise kernel evaluations.
 
@@ -180,9 +182,8 @@ def _centered_sums(g: np.ndarray, total: float) -> tuple[float, float, float]:
     total / n^2, bit for bit ``g.mean()`` (the same pairwise sum, divided by
     n^2), so the pass reads the array for its row means and once more for
     the tiles.  Gc is formed and squared tile by tile (``_row_tiles``), so
-    no second n x n array is made, and ||Gc||_F^2 is the ``math.fsum`` of
-    the tiles' sums (their plain sum when that overflows): bit for bit the
-    one-array sum up to 90 points (one tile).
+    no second n x n array is made, and ||Gc||_F^2 is the ``_fsum`` of the
+    tiles' sums: bit for bit the one-array sum up to 90 points (one tile).
     """
     n = len(g)
     diag, parts = np.empty(n), []
@@ -196,8 +197,27 @@ def _centered_sums(g: np.ndarray, total: float) -> tuple[float, float, float]:
             diag[rows] = np.diagonal(gc, rows.start)
             parts.append(float(np.square(gc, out=gc).sum()))
         sum_dc_sq = float((diag * diag).sum())
-    frob_sq = math.fsum(parts) if math.isfinite(plain := sum(parts)) else plain
-    return float(diag.sum()), sum_dc_sq, frob_sq
+    return float(diag.sum()), sum_dc_sq, _fsum(parts)
+
+
+def _fsum(parts) -> float:
+    """``math.fsum`` of a tiled pass's per-tile sums, or their plain sum on overflow.
+
+    The plain sum comes out inf where fsum would raise ``OverflowError``, so
+    an overflow still reaches the caller's finiteness check.
+    """
+    return math.fsum(parts) if math.isfinite(plain := sum(parts)) else plain
+
+
+def _fsum_tiles(parts: list[np.ndarray]) -> np.ndarray:
+    """``_fsum`` per dataset of per-tile sums, each an array over the same datasets.
+
+    A pass of one tile returns its sums as they are, so a dataset that fits
+    one tile gets the bits of the untiled sum.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    return np.array([_fsum(col) for col in zip(*(p.tolist() for p in parts))])
 
 
 def kernel_function(spec: KernelSpec) -> Callable[[np.ndarray, np.ndarray], float]:
@@ -242,7 +262,9 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     x = as_dataset(data)
     g = _kernel_block(spec, x, x)
     # the Gaussian Gram is exactly symmetric already (see _kernel_block)
-    return GramMatrix(g if spec.kind == GAUSSIAN else _symmetrize(g))
+    if spec.kind != GAUSSIAN:
+        _symmetrize(g)
+    return GramMatrix(g)
 
 
 def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -337,26 +359,35 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     return g
 
 
-def _row_tiles(n: int, m: int) -> Iterator[tuple[slice, np.ndarray]]:
+def _row_tiles(n: int, m: int, lead: tuple[int, ...] = (),
+               min_rows: int = 1) -> Iterator[tuple[slice, np.ndarray]]:
     """Row slices of an n x m array, each with an uninitialized tile of its shape.
 
-    The tiles are views of one array of ``_GRAM_TILE_VALUES`` values (one row
-    if a row is longer), so an elementwise pass holds no second n x m array.
+    The tiles are contiguous views of one array of ``_GRAM_TILE_VALUES``
+    values (``min_rows`` rows if those are more), so an elementwise pass
+    holds no second n x m array.  With ``lead = (k,)`` the rows are those of
+    k stacked n x m arrays, each tile has shape (k, rows, m) and the array k
+    times the values; the row step is still set by m alone, so a stacked
+    array is cut where it would be on its own.
     """
-    step = max(1, _GRAM_TILE_VALUES // m)
-    tile = np.empty((min(step, n), m))
+    step = max(min_rows, _GRAM_TILE_VALUES // max(m, 1))
+    width = math.prod(lead) * m  # values in one row of every stacked array
+    buf = np.empty(min(step, n) * width)
     for lo in range(0, n, step):
-        yield slice(lo, lo + step), tile[:min(step, n - lo)]
+        rows = min(step, n - lo)
+        yield slice(lo, lo + rows), buf[:rows * width].reshape(*lead, rows, m)
 
 
 def _read_csv(path) -> np.ndarray:
     """Numbers from a comma-separated file as a 2-D float array.
 
-    ``path`` is a file name, ``-`` for stdin, or an open text file.  Blank
-    lines are skipped, and the first non-blank line is a header, and is
-    dropped, when one of its comma-separated cells is not a number.  The
-    remaining lines stream from the file into ``np.loadtxt``, so no copy of
-    the text is held beside the parsed array.  Raises ``ValueError`` naming
+    ``path`` is a file name, ``-`` for stdin, or an open text file.  One
+    UTF-8 byte-order mark (U+FEFF), which some spreadsheet programs write,
+    is dropped from the start of the input.  Blank lines are skipped, and
+    the first non-blank line is a header, and is dropped, when one of its
+    comma-separated cells is not a number.  The remaining lines stream from
+    the file into ``np.loadtxt``, so no copy of the text is held beside the
+    parsed array.  Raises ``ValueError`` naming
     the file when it cannot be opened, is empty, has a header but no data
     rows, or is malformed (ragged rows, non-numeric cells).
     """
@@ -371,7 +402,9 @@ def _read_csv(path) -> np.ndarray:
         except OSError as exc:
             raise ValueError(f"cannot read {name}: {exc}") from None
     with source as fh:
-        rows = (line for line in fh if line.strip())
+        lines = iter(fh)
+        head = next(lines, "").removeprefix("\ufeff")
+        rows = (line for line in itertools.chain([head], lines) if line.strip())
         first = next(rows, None)
         if first is None:
             raise ValueError(f"{name}: empty input")
@@ -396,27 +429,44 @@ def load_gram_csv(path) -> GramMatrix:
     ``ValueError`` naming the file when it cannot be parsed, and
     ``ParameterError`` unless the matrix is square, finite and symmetric
     within ``SYMMETRY_RTOL`` of its largest entry (at least 1); the result
-    is symmetrized.
+    is symmetrized in place (``_symmetrize``), so loading holds one n x n
+    array and a fixed tile.
     """
     m = _read_csv(path)
     name = getattr(path, "name", path)
     if m.shape[0] != m.shape[1]:
         raise ParameterError(
             f"{name}: precomputed kernel matrix must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # nan propagates through max and min, and an infinity is one of them
+    hi, lo = float(m.max(initial=0.0)), float(m.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ParameterError(
             f"{name}: precomputed kernel matrix has non-finite entries (nan or inf)")
-    scale = max(1.0, float(np.abs(m).max()))
-    with np.errstate(over="ignore"):  # a difference that overflows is inf
-        asymmetry = float(np.abs(m - m.T).max())
-    if asymmetry > SYMMETRY_RTOL * scale:
+    if _symmetrize(m) > SYMMETRY_RTOL * max(1.0, hi, -lo):
         raise ParameterError(
             f"{name}: precomputed kernel matrix is not symmetric within tolerance")
-    return GramMatrix(_symmetrize(m))
+    return GramMatrix(m)
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2; an entry that overflows comes out inf, without a warning."""
-    m = np.asarray(m, dtype=float)
+def _symmetrize(m: np.ndarray) -> float:
+    """Overwrite the square array m with (m + m^T) / 2; return max |m - m^T|.
+
+    The pass runs over the upper triangle a tile of rows at a time
+    (``_row_tiles``): rows lo:hi from column lo on, and the matching
+    columns, both read into one tile before either is written, so no second
+    n x n array is formed.  Addition commutes, so every entry gets the bits
+    of the whole-array (m + m.T) / 2.  An entry or a difference that
+    overflows comes out inf, without a warning.
+    """
+    n, asymmetry = len(m), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return (m + m.T) / 2.0
+        for rows, tile in _row_tiles(n, n):
+            upper, lower = m[rows, rows.start:], m[rows.start:, rows].T
+            part = tile[:, rows.start:]
+            np.subtract(upper, lower, out=part)
+            asymmetry = max(asymmetry, float(np.abs(part, out=part).max()))
+            np.add(upper, lower, out=part)
+            part /= 2.0
+            upper[...] = part
+            lower[...] = part
+    return asymmetry

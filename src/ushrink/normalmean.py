@@ -6,7 +6,9 @@ S^2 = sum_i ||X_i - Xbar||^2 / (n - 1).  The basic estimator uses the full
 coefficient; a damped version multiplies it by a constant c in (0, 2), and
 c = (2n - 2)/(3n - 1) guarantees a strict mean-squared-error improvement
 over the sample mean for every dimension d >= 3.  Nonzero targets are
-obtained by translating the data before estimation.
+obtained by translating the data before estimation.  S^2 is summed one
+64 KiB row tile of residuals at a time (``mu_check_c_batch``), so a dataset
+is held once; above 8192 values (n d) S^2 can move in the last bits.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
-from .kernels import as_dataset
+from .kernels import _fsum_tiles, _row_tiles, as_dataset
 from .shrinkage import alpha_from
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalMeanResult:
     xbar: np.ndarray
     s2: float
@@ -46,9 +48,11 @@ def mu_check(data) -> NormalMeanResult:
 def mu_check_c(data, c: float) -> NormalMeanResult:
     """Damped shrunk mean (1 - c * alpha) Xbar for c in (0, 2).
 
-    All-zero data is the 0/0 corner: alpha resolves to 0 and the (zero)
-    sample mean is returned unshrunk.  Raises ``ValueError`` when S^2 or
-    ||Xbar||^2 overflows float64 (finite data near 1e154 and above).
+    The data are held once, beside a 64 KiB tile of residuals
+    (``mu_check_c_batch``).  All-zero data is the 0/0 corner: alpha resolves
+    to 0 and the (zero) sample mean is returned unshrunk.  Raises
+    ``ValueError`` when S^2 or ||Xbar||^2 overflows float64 (finite data
+    near 1e154 and above).
     """
     if not 0.0 < c < 2.0:
         raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
@@ -65,16 +69,26 @@ def mu_check_c_batch(block: np.ndarray, c: float):
     Returns the arrays ``(xbar, s2, alpha, estimate)``, each indexed by
     dataset first.  The reductions are fixed so that a block row equals the
     same dataset on its own bit for bit: means along the observation axis,
-    the pooled deviation as one sum over each dataset's flattened residuals,
-    and squared norms by ``np.vecdot``.
+    the pooled deviation as a sum over each dataset's flattened squared
+    residuals, and squared norms by ``np.vecdot``.  The residuals are formed
+    and squared a tile of rows at a time (``kernels._row_tiles``, 64 KiB for
+    one dataset, the row step set by d alone), so no second n x d array is
+    formed.  A dataset of at most one tile (n d <= 8192 values) gets the
+    bits of one sum over all its residuals; above one tile the tiles' sums
+    are combined by ``math.fsum`` (``kernels._fsum_tiles``) and S^2 can
+    move in the last bits.
     """
-    m, n, _ = block.shape
+    m, n, d = block.shape
     if n < 2:
         raise InsufficientSampleError(
             f"pooled deviation needs n >= 2 observations, got {n}"
         )
     xbar = block.mean(axis=1)
-    s2 = ((block - xbar[:, None]) ** 2).reshape(m, -1).sum(axis=1) / (n - 1)
+    parts = []
+    for rows, xc in _row_tiles(n, d, (m,)):
+        np.subtract(block[:, rows], xbar[:, None], out=xc)
+        parts.append(np.square(xc, out=xc).reshape(m, -1).sum(axis=1))
+    s2 = _fsum_tiles(parts) / (n - 1)
     alpha = alpha_from(s2 / n, np.vecdot(xbar, xbar))[1]
     estimate = (1.0 - c * alpha)[:, None] * xbar
     return xbar, s2, alpha, estimate

@@ -66,7 +66,7 @@ class ShrinkageReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Dual shrinkage target sum_j coefficients[j] K(., landmarks[j]).
 
@@ -92,7 +92,7 @@ class TargetSpec:
         return cls(landmarks=pts, coefficients=coef)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualMeanElement:
     """A mean-embedding estimate as weights on kernel sections.
 

@@ -87,7 +87,7 @@ _DIST_MAPS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistSpec:
     """Sampling distribution with analytically known mean and covariance."""
 
@@ -97,13 +97,13 @@ class DistSpec:
     sigmas: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    dim: int = field(init=False, repr=False, compare=False)
-    mean: np.ndarray = field(init=False, repr=False, compare=False)
-    covariance: np.ndarray = field(init=False, repr=False, compare=False)
-    trace_cov: float = field(init=False, repr=False, compare=False)
-    _scale: float | np.ndarray = field(init=False, repr=False, compare=False)
-    _shift: np.ndarray = field(init=False, repr=False, compare=False)
-    _draw: str = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
+    covariance: np.ndarray = field(init=False, repr=False)
+    trace_cov: float = field(init=False, repr=False)
+    _scale: float | np.ndarray = field(init=False, repr=False)
+    _shift: np.ndarray = field(init=False, repr=False)
+    _draw: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _DIST_MAPS:

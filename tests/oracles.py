@@ -4,8 +4,10 @@ Everything here is written against the definitions with plain nested loops
 and no imports from the package under test, so these values are a third
 computation route alongside the enumeration engine and the closed forms.
 Desk scale only (n <= 10 or so).  The whole-array formulas at the end
-(``gaussian_gram_product``, ``centered_gram_sums``) are the untiled forms
-of the package's tiled passes, which must reproduce their bits.
+(``gaussian_gram_product``, ``centered_gram_sums``, ``cov_shrink_untiled``,
+``normal_mean_untiled``) are the untiled forms of the package's tiled
+passes, which must reproduce their bits up to one tile and stay within
+rounding of them beyond.
 """
 
 import math
@@ -135,6 +137,55 @@ def centered_gram_sums(g) -> tuple[int, float, float, float]:
     diag = np.diagonal(gc).copy()
     return (gc.shape[0], float(diag.sum()), float((diag * diag).sum()),
             float(np.square(gc).sum()))
+
+
+def cov_shrink_untiled(data, tau: float, variant: str) -> dict:
+    """``shrink_cov_matrix`` on whole arrays, as it ran before its tiling.
+
+    Sigma_hat is one product of the centered data, sym(Xc^T Xc / n); its
+    traces and sum_i ||X_i - Xbar||^4 are numpy's sums over whole arrays;
+    delta_hat and dist_sq are the linear-kernel polynomials of the ``covmat``
+    docstring, and alpha their coefficient clamped to [0, 1].  ``*_scale``
+    is the sum of the absolute terms of each polynomial, the size of its
+    rounding error.
+    """
+    x = np.asarray(data, dtype=float)
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    s = xc.T @ xc / n
+    s = (s + s.T) / 2.0
+    sq_norms = np.sum(xc * xc, axis=1)
+    tr, tr_s2, fourth = np.trace(s), np.trace(s @ s), np.sum(sq_norms * sq_norms)
+    if variant == "general":
+        delta = (fourth / ((n - 2) * (n - 3)),
+                 -n * (n + 1) / ((n - 1) ** 2 * (n - 3)) * tr_s2,
+                 -n / ((n - 1) * (n - 2) * (n - 3)) * tr * tr)
+    else:
+        c = 2 * math.comb(n, 2) * math.perm(n, 4)
+        delta = (n * (n * n - 3 * n + 4) * fourth / c, -4 * n * n * (n - 2) * tr_s2 / c,
+                 n * n * (n * n - 5 * n + 4) * tr * tr / c)
+    dist = (n * n / (n - 1) ** 2 * tr_s2, -2 * n * tau / (n - 1) * tr, tau * tau * d)
+    alpha = min(1.0, max(0.0, sum(delta) / (sum(delta) + sum(dist))))
+    c_hat = n / (n - 1) * s
+    return {"sigma_hat": s, "tr": tr, "tr_s2": tr_s2, "sum_fourth": fourth,
+            "shrunk": (1.0 - alpha) * c_hat + alpha * tau * np.eye(d),
+            "delta_hat": sum(delta), "delta_scale": sum(map(abs, delta)),
+            "dist_sq": sum(dist), "dist_scale": sum(map(abs, dist)), "alpha": alpha}
+
+
+def normal_mean_untiled(data, c: float) -> dict:
+    """``mu_check_c`` on whole arrays, as it ran before its tiling.
+
+    S^2 is one sum of all the squared residuals over n - 1, alpha is
+    (S^2/n) / (S^2/n + ||Xbar||^2) and the estimate (1 - c alpha) Xbar.
+    """
+    x = np.asarray(data, dtype=float)
+    n = x.shape[0]
+    xbar = x.mean(axis=0)
+    s2 = float(((x - xbar) ** 2).sum()) / (n - 1)
+    alpha = (s2 / n) / (s2 / n + float(xbar @ xbar))
+    return {"xbar": xbar, "s2": s2, "alpha": alpha,
+            "estimate": (1.0 - c * alpha) * xbar}
 
 
 def rel_err(a: float, b: float) -> float:

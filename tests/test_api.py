@@ -6,6 +6,8 @@ loads neither the CLI nor the self-check, nor ``numpy.random``."""
 import subprocess
 import sys
 
+import pytest
+
 import ushrink
 
 
@@ -32,3 +34,30 @@ def test_import_loads_no_heavy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def _array_holders():
+    import numpy as np
+
+    from ushrink.shrinkage import DualMeanElement
+
+    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.5], [0.0, 0.0]])
+    return {
+        "GramMatrix": lambda: ushrink.gram(ushrink.KernelSpec.linear(), x),
+        "TargetSpec": lambda: ushrink.TargetSpec.dual(x[:2], [0.5, 0.5]),
+        "DualMeanElement": lambda: DualMeanElement(np.ones(3) / 3, np.zeros(0)),
+        "CovShrinkResult": lambda: ushrink.shrink_cov_matrix(x),
+        "NormalMeanResult": lambda: ushrink.mu_check(x),
+        "DistSpec": lambda: ushrink.DistSpec.spherical_gaussian([0.0, 1.0], 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # a generated __eq__ would compare the arrays and raise "truth value of
+    # an array ... is ambiguous"; these are equal only to themselves
+    make = _array_holders()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, a, b}) == 2

@@ -1,6 +1,7 @@
-"""``bench/pairs.py`` refuses two checkouts whose benchmark code differs.
+"""``bench/pairs.py`` refuses two checkouts whose benchmark code differs, or
+whose paths differ in length.
 
-The script is loaded from its file; nothing is run, since the check comes
+The script is loaded from its file; nothing is run, since the checks come
 before the first benchmark run.
 """
 
@@ -62,3 +63,29 @@ def test_identical_benchmark_accepted(pairs, tmp_path):
     before = _checkout(tmp_path / "before", BENCH)
     after = _checkout(tmp_path / "after", {**BENCH, "perfbench/README.md": "other\n"})
     assert pairs._first_difference(before, after) is None
+
+
+def _main(pairs, before, after, out):
+    return pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "1", "--out", str(out)])
+
+
+def test_paths_of_unequal_length_refused(pairs, tmp_path, capsys):
+    # peak_rss_mb moves with the length of the checkout's path
+    before = _checkout(tmp_path / "parent", BENCH)
+    after = _checkout(tmp_path / "change2", BENCH)
+    out = tmp_path / "BENCH.json"
+    assert _main(pairs, before, after, out) == 1
+    err = capsys.readouterr().err
+    assert "differ in length" in err and f"{len(str(before))} and " in err
+    assert not out.exists()
+
+
+def test_paths_of_equal_length_run(pairs, tmp_path):
+    # compared once resolved: "x/../parent" is a longer name for a path of
+    # the same length as "change", so the benchmark starts
+    _checkout(tmp_path / "parent", BENCH)
+    after = _checkout(tmp_path / "change", BENCH)
+    (tmp_path / "x").mkdir()
+    with pytest.raises(AssertionError, match="a benchmark ran"):
+        _main(pairs, tmp_path / "x" / ".." / "parent", after, tmp_path / "BENCH.json")

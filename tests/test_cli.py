@@ -304,6 +304,34 @@ class TestReadDataset:
         with pytest.raises(ValueError, match="empty input"):
             read_dataset(str(path))
 
+    # a UTF-8 byte-order mark, as some spreadsheet programs write it, must not
+    # turn the first observation of a headerless file into a dropped header
+    BOM_ROWS = "\ufeff1,2\n3,4\n5,6\n"
+
+    def test_byte_order_mark_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text(self.BOM_ROWS, encoding="utf-8")
+        assert np.array_equal(read_dataset(str(path)), [[1, 2], [3, 4], [5, 6]])
+
+    def test_byte_order_mark_stdin_and_handle(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.BOM_ROWS))
+        assert np.array_equal(read_dataset("-"), [[1, 2], [3, 4], [5, 6]])
+        assert np.array_equal(read_dataset(io.StringIO(self.BOM_ROWS)),
+                              [[1, 2], [3, 4], [5, 6]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bomh.csv"
+        path.write_text("\ufeffx,y\n1,2\n3,4\n", encoding="utf-8")
+        assert np.array_equal(read_dataset(str(path)), [[1, 2], [3, 4]])
+
+    def test_byte_order_mark_keeps_every_observation(self, capsys, tmp_path):
+        # n = 3 gives the damping constant (2n-2)/(3n-1) = 0.5; n = 2 gave 0.4
+        path = tmp_path / "bom.csv"
+        path.write_text(self.BOM_ROWS, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "normal-mean", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["c"] == 0.5
+
 
 class TestPrecomputedCsv:
     # --kernel precomputed reads its file by read_dataset's rules

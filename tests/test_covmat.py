@@ -247,3 +247,89 @@ class TestShrinkCovMatrix:
         d = res.to_dict()
         assert set(d) == {"sigma_hat", "c_hat", "shrunk", "report"}
         assert d["report"]["variant"] == "general"
+
+
+def offset_data(rng, n, d):
+    """Data with a nonzero mean and unequal scales, so centering matters."""
+    return 0.3 + rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d)
+
+
+class TestRowTiles:
+    # the data are centered a tile of rows at a time, 8192 // d rows or d
+    # rows beyond d = 90: up to one tile (n d <= 8192) every sum has the
+    # untiled formula's bits, beyond it the tiles' sums are combined within
+    # rounding of it
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (8192, 1), (2048, 4), (409, 20)])
+    def test_one_tile_is_bitwise_untiled(self, n, d):
+        x = offset_data(np.random.default_rng(n + d), n, d)
+        ref = oracles.cov_shrink_untiled(x, 1.0, GENERAL)
+        assert np.array_equal(shrink_cov_matrix(x).sigma_hat, ref["sigma_hat"])
+        s = spectral_summaries(x)
+        assert (s.sum_fourth, s.tr_s2, s.tr_sq) == (
+            ref["sum_fourth"], ref["tr_s2"], ref["tr"] ** 2)
+
+    # n d = 8193, 8200, 16384, 4e6 and 30000 values, the last in tiles of d rows
+    @pytest.mark.parametrize("n, d", [(8193, 1), (410, 20), (1024, 16), (200_000, 20),
+                                      (300, 100)])
+    def test_above_one_tile_matches_untiled(self, n, d):
+        x = offset_data(np.random.default_rng(n + d), n, d)
+        for variant, tau in ((GENERAL, 1.0), (DEGENERATE, 0.5)):
+            res = shrink_cov_matrix(x, tau, variant)
+            ref = oracles.cov_shrink_untiled(x, tau, variant)
+            for name in ("sigma_hat", "shrunk"):
+                err = np.abs(getattr(res, name) - ref[name]).max()
+                assert err <= 1e-13 * np.abs(ref[name]).max(), (variant, name)
+            assert (abs(res.report.delta_hat - ref["delta_hat"])
+                    <= 1e-13 * ref["delta_scale"])
+            assert abs(res.report.dist_sq - ref["dist_sq"]) <= 1e-13 * ref["dist_scale"]
+            assert abs(res.report.alpha - ref["alpha"]) <= 1e-13
+
+    def test_wide_tiles_hold_d_rows(self, monkeypatch):
+        # beyond d = 90 a tile of 8192 // d rows would be smaller than the
+        # d x d part it adds to Sigma_hat, so it holds d rows
+        from ushrink import covmat, kernels
+
+        shapes = []
+
+        def tiles(*args, **kwargs):
+            for rows, xc in kernels._row_tiles(*args, **kwargs):
+                shapes.append(xc.shape)
+                yield rows, xc
+
+        monkeypatch.setattr(covmat, "_row_tiles", tiles)
+        shrink_cov_matrix(offset_data(np.random.default_rng(4), 1000, 300))
+        assert shapes == [(1, 300, 300)] * 3 + [(1, 100, 300)]
+
+    def test_block_rows_equal_datasets_alone_above_one_tile(self):
+        from ushrink.covmat import _shrink_block
+
+        rng = np.random.default_rng(3)
+        block = np.stack([offset_data(rng, 1000, 12) for _ in range(3)])
+        sigma, _, shrunk, report = _shrink_block(block, 0.5, DEGENERATE)
+        for i, x in enumerate(block):
+            alone = shrink_cov_matrix(x, 0.5, DEGENERATE)
+            assert np.array_equal(sigma[i], alone.sigma_hat)
+            assert np.array_equal(shrunk[i], alone.shrunk)
+            assert report[0][i] == alone.report.delta_hat
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_across_tiles_raises(self):
+        # every tile's sums are finite (8192 rows of a^2 and a^4 stay below
+        # 1.8e308) but their total overflows
+        a = 1.2e76
+        x = np.tile([a, -a], 8193).reshape(-1, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            shrink_cov_matrix(x)
+
+    def test_holds_the_data_and_a_tile(self):
+        import tracemalloc
+
+        x = np.random.default_rng(0).normal(size=(50_000, 20))
+        tracemalloc.start()
+        try:
+            shrink_cov_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes

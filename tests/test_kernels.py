@@ -21,6 +21,7 @@ from ushrink.kernels import (
     _gaussian_gram,
     _gaussian_gram_product,
     _kernel_block,
+    _symmetrize,
 )
 
 SPECS = [KernelSpec.linear(), KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
@@ -319,11 +320,46 @@ class TestSpecValidation:
         g = load_gram_csv(_write_csv(tmp_path, m))
         assert np.array_equal(g.entries, g.entries.T)
 
+    def test_byte_order_mark(self, tmp_path):
+        # a leading UTF-8 byte-order mark must not make the first row a header
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1,0.5\n0.5,2\n", encoding="utf-8")
+        assert np.array_equal(load_gram_csv(path).entries, [[1.0, 0.5], [0.5, 2.0]])
+
 
 def _write_csv(tmp_path, m):
     path = tmp_path / "gram.csv"
     np.savetxt(path, m, delimiter=",")
     return path
+
+
+class TestSymmetrize:
+    # (m + m^T) / 2 in place, for the linear and exponential Grams and for
+    # loaded matrices
+
+    @pytest.mark.parametrize("n", [1, 2, 90, 91, 92, 128, 129, 300])
+    def test_symmetrize_tiles_match_whole_array_bitwise(self, n):
+        # the pass runs a tile of rows at a time over the upper triangle; every
+        # tiling must give (m + m.T) / 2 and max |m - m.T| on the whole array
+        m = np.random.default_rng(n).normal(scale=1e3, size=(n, n))
+        ref, gap = (m + m.T) / 2.0, float(np.abs(m - m.T).max())
+        assert _symmetrize(m) == gap
+        assert np.array_equal(m, ref)
+
+    def test_loading_holds_one_square_array(self, tmp_path):
+        # the checks and the symmetrization add a fixed tile to the parsed array
+        import tracemalloc
+
+        n = 600
+        m = np.random.default_rng(2).normal(size=(n, n))
+        path = _write_csv(tmp_path, np.round(m + m.T, 3))
+        tracemalloc.start()
+        try:
+            load_gram_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestReadOnlyEntries:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ushrink import (
     InsufficientSampleError,
     ParameterError,
@@ -133,3 +134,62 @@ class TestConstants:
     def test_threshold_validates_c(self):
         with pytest.raises(ParameterError):
             dimension_threshold(5, 2.0)
+
+
+def offset_data(rng, n, d):
+    """Data with a nonzero mean and unequal scales, so centering matters."""
+    return 0.3 + rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d)
+
+
+class TestRowTiles:
+    # the residuals are formed a tile of rows at a time, 8192 // d rows: up to
+    # one tile (n d <= 8192) S^2 has the untiled sum's bits, beyond it the
+    # tiles' sums are combined within rounding of it
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (8192, 1), (2048, 4), (409, 20)])
+    def test_one_tile_is_bitwise_untiled(self, n, d):
+        x = offset_data(np.random.default_rng(n + d), n, d)
+        res, ref = mu_check_c(x, 0.7), oracles.normal_mean_untiled(x, 0.7)
+        assert res.s2 == ref["s2"]
+        assert np.array_equal(res.xbar, ref["xbar"])
+
+    # n d = 8193, 8200, 16384 and 4e6 values
+    @pytest.mark.parametrize("n, d", [(8193, 1), (410, 20), (1024, 16), (200_000, 20)])
+    def test_above_one_tile_matches_untiled(self, n, d):
+        x = offset_data(np.random.default_rng(n + d), n, d)
+        res, ref = mu_check_c(x, 0.7), oracles.normal_mean_untiled(x, 0.7)
+        assert abs(res.s2 - ref["s2"]) <= 1e-13 * ref["s2"]
+        assert abs(res.alpha - ref["alpha"]) <= 1e-13
+        scale = np.abs(ref["estimate"]).max()
+        assert np.abs(res.estimate - ref["estimate"]).max() <= 1e-13 * scale
+
+    def test_block_rows_equal_datasets_alone_above_one_tile(self):
+        from ushrink.normalmean import mu_check_c_batch
+
+        rng = np.random.default_rng(3)
+        block = np.stack([offset_data(rng, 1000, 12) for _ in range(3)])
+        _, s2, alpha, estimate = mu_check_c_batch(block, 0.7)
+        for i, x in enumerate(block):
+            alone = mu_check_c(x, 0.7)
+            assert (s2[i], alpha[i]) == (alone.s2, alone.alpha)
+            assert np.array_equal(estimate[i], alone.estimate)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_across_tiles_raises(self):
+        # each tile's sum of 8192 squares of 1.2e152 is finite, their total is not
+        a = 1.2e152
+        x = np.tile([a, -a], 8193).reshape(-1, 1)
+        with pytest.raises(ValueError, match="overflow"):
+            mu_check_c(x, 0.5)
+
+    def test_holds_the_data_and_a_tile(self):
+        import tracemalloc
+
+        x = np.random.default_rng(0).normal(size=(50_000, 20))
+        tracemalloc.start()
+        try:
+            mu_check_c(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * x.nbytes
