@@ -8,7 +8,11 @@ traced, alternating which side runs first, and records every run's
 end-to-end metrics (from the untraced run) and per-layer metrics (from the
 traced run, ``layers`` in each pair), the median and quartiles of each side,
 the number of pairs the ``after`` side wins on each metric (``summary`` and
-``layer_summary``), and the machine.  Both checkouts must contain the same
+``layer_summary``), and the machine.  For each end-to-end metric ``summary``
+also gives ``median_change``, the relative change of the median (after
+against before), and ``beyond_bound``, true when that change is worse than
+the metric's ``bound`` in ``BENCHMARK.json``; the metrics beyond their bound
+are also printed to stderr.  Both checkouts must contain the same
 ``perfbench/*.py`` and ``BENCHMARK.json``: before the first run it compares
 their bytes and exits 1 naming the first file that differs.  It also exits 1
 when the two checkouts' resolved paths differ in length, because
@@ -55,6 +59,28 @@ def _summary(metrics: dict, runs: list[dict]) -> dict:
             "after_wins": wins,
         }
     return summary
+
+
+def _verdict(summary: dict, bounds: dict) -> list[str]:
+    """Mark each bounded metric of ``summary`` with its median change and verdict.
+
+    ``median_change`` is after / before - 1 of the medians, and
+    ``beyond_bound`` is true when the change is worse (a rise of a
+    lower-is-better metric, a fall of a higher-is-better one) by more than
+    the metric's bound.  Returns one line per metric beyond its bound.
+    """
+    flagged = []
+    for name, bound in bounds.items():
+        entry = summary[name]
+        before, after = entry["before"]["median"], entry["after"]["median"]
+        change = after / before - 1.0
+        worse = change if entry["better"] == "lower" else -change
+        entry["median_change"] = change
+        entry["beyond_bound"] = worse > bound
+        if entry["beyond_bound"]:
+            flagged.append(f"{name}: median {before:.6g} -> {after:.6g} "
+                           f"({change:+.1%}, bound {bound:.0%})")
+    return flagged
 
 
 def _benchmark_files(checkout: Path) -> set[str]:
@@ -136,14 +162,18 @@ def main(argv=None) -> int:
         pair["layers"] = layers
         pairs.append(pair)
 
+    summary = _summary(metrics, pairs)
+    flagged = _verdict(summary, {m["name"]: m["bound"] for m in spec["end_to_end"]})
     report = {"workload": args.workload, "seconds": args.seconds,
               "command": "python3 perfbench/run.py --workload W --seed N "
                          f"--seconds {args.seconds:g} --trace 0|1",
               "machine": _machine(), "pairs": pairs,
-              "summary": _summary(metrics, pairs),
+              "summary": summary,
               "layer_summary": _summary(layer_metrics,
                                         [pr["layers"] for pr in pairs])}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    for line in flagged:
+        print(f"{args.workload}: beyond its bound: {line}", file=sys.stderr)
     return 0
 
 

@@ -13,7 +13,9 @@ one-dataset functions pass a block of one, the Monte Carlo harness a block.
 The data are centered one row tile at a time (``_moments``), so a dataset
 is held once, beside a 64 KiB tile (d x d values once d > 90); up to 8192
 values (n d) a dataset is one tile and its results have the untiled
-formulas' bits, and above that they can move in the last bits.
+formulas' bits, and above that they can move in the last bits.  Centering
+removes the residuals' own mean after the rounded mean's (the corrected
+two-pass algorithm), so data far from the origin keep their digits.
 
 The two risk estimates are polynomials in sum_fourth = sum_i ||X_i - Xbar||^4,
 tr_s2 = Tr[Sigma_hat^2] and tr_sq = Tr^2[Sigma_hat]; with c = C(n,2) P(n,4),
@@ -83,9 +85,17 @@ def _moments(block: np.ndarray):
     indexed by dataset first.  The data are centered a tile of rows at a
     time (``kernels._row_tiles``), so no second n x d array is formed: each
     tile adds its Xc^T Xc to n Sigma_hat and its rows' ||X_i - Xbar||^4 to
-    the fourth sum.  A tile holds 8192 // d rows (64 KiB for one dataset),
-    or d rows once d > 90, so that a tile is never smaller than the d x d
-    part it adds and Sigma_hat costs the n d^2 of one product at any d.
+    the fourth sum.  Xc is (X - fl(Xbar)) - e, the corrected two-pass
+    algorithm (Chan, Golub and LeVeque, Am. Stat. 1983): the residuals of
+    the rounded mean sum to n e, with e about ulp(Xbar) rather than 0, and
+    the fourth sum feels e at first order, which lost 9 digits at an
+    offset of 1e8.  A first pass sums the tiles' residuals for e, each
+    tile's by one product with a vector of ones (a fifth of the cost of
+    ``sum(axis=1)`` per tile); a dataset of one tile keeps its residuals in
+    the tile between the passes.
+    A tile holds 8192 // d rows (64 KiB for one dataset), or d rows once
+    d > 90, so that a tile is never smaller than the d x d part it adds and
+    Sigma_hat costs the n d^2 of one product at any d.
     A dataset of at most one tile (n d <= 8192 values) gets the bits of the
     untiled formulas.  Above one tile the d x d parts are added in turn and
     the fourth sums combined by ``math.fsum`` (``kernels._fsum_tiles``),
@@ -101,8 +111,17 @@ def _moments(block: np.ndarray):
     fourth = []
     with np.errstate(over="ignore", invalid="ignore"):
         mean = block.mean(axis=1, keepdims=True)
-        for rows, xc in _row_tiles(n, d, (m,), min_rows=d):
+        tiles = list(_row_tiles(n, d, (m,), min_rows=d))
+        ones = np.ones(tiles[0][1].shape[1])
+        for rows, xc in tiles:
             np.subtract(block[:, rows], mean, out=xc)
+            part = ones[:rows.stop - rows.start] @ xc
+            e = part if rows.start == 0 else e + part
+        e = e[:, None] / n
+        for rows, xc in tiles:
+            if len(tiles) > 1:
+                np.subtract(block[:, rows], mean, out=xc)
+            xc -= e
             part = xc.mT @ xc
             s = part if rows.start == 0 else s + part
             sq_norms = np.square(xc, out=xc).sum(axis=2)

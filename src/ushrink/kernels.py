@@ -18,6 +18,11 @@ Parameterizations:
 Setting ``bandwidth = scale = 1`` recovers the unit-parameter forms.
 ``gram`` needs O(n^2) memory for n observations whatever the dimension d:
 the Gaussian Gram is one n x n array beside a scratch tile of fixed size.
+The passes over a symmetric n x n array (the product Gram, the centered
+sums and ``_symmetrize``) visit the upper triangle's square blocks
+(``_square_blocks``, of side ``_BLOCK_SIDE``) and mirror or double each
+off-diagonal block, so they touch each entry pair once; the Gram and the
+symmetrized matrices keep the bits of the whole-array formulas.
 Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates it sums its squared distances
 one coordinate at a time, in coordinate order; from that dimension on it
 takes them from one matrix product of the centered data, ||x_i||^2 +
@@ -79,6 +84,12 @@ GAUSSIAN_PRODUCT_MAX_SPREAD = 32.0
 # the heap rather than mapped and page-faulted in on every call.
 _GRAM_TILE_VALUES = 2**13
 
+# Side of the square blocks of the symmetric n x n passes (``_square_blocks``),
+# so a matrix of up to 128 rows is one block.  With one BLAS thread at
+# n = 2000, sides of 64, 90 and 256 made the product and centered passes
+# slower than 128.
+_BLOCK_SIDE = 128
+
 
 def as_dataset(data) -> np.ndarray:
     """Coerce observations to a float (n, d) array; 1-D input becomes (n, 1)."""
@@ -137,16 +148,22 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetrized n x n matrix of pairwise kernel evaluations.
+    """Symmetric n x n matrix of pairwise kernel evaluations.
 
     ``entries`` is stored as a read-only view (the array passed in keeps its
     own flags), so the statistics the shrinkage estimators read from it are
     computed once per ``GramMatrix``, on first use, and cannot go stale:
     the trace and the entry sum (``_gram_sums``), and the sums of the
-    double-centered Gram (``_centered_sums``).
+    double-centered Gram (``_centered_sums``).  The centered sums read the
+    upper triangle's entries, so before taking them a matrix is checked to
+    be symmetric within ``SYMMETRY_RTOL`` of its largest absolute entry (at
+    least 1), as ``load_gram_csv`` checks, and ``ParameterError`` is raised
+    if it is not.  ``symmetric=True`` states that the entries are exactly
+    symmetric and skips that pass; ``gram`` and ``load_gram_csv`` set it.
     """
 
     entries: np.ndarray
+    symmetric: bool = False
 
     def __post_init__(self):
         entries = np.asarray(self.entries).view()
@@ -163,7 +180,13 @@ class GramMatrix:
 
     @functools.cached_property
     def _centered(self) -> tuple[float, float, float]:
-        return _centered_sums(self.entries, self._trace_total[1])
+        g = self.entries
+        if not self.symmetric and _symmetrize(g, in_place=False) > _symmetry_bound(
+                float(g.max()), float(g.min())):
+            raise ParameterError(
+                "Gram matrix is not symmetric within tolerance; the covariance-"
+                "operator sums read its upper triangle")
+        return _centered_sums(g, self._trace_total[1])
 
 
 def _gram_sums(g: np.ndarray) -> tuple[float, float]:
@@ -176,26 +199,33 @@ def _gram_sums(g: np.ndarray) -> tuple[float, float]:
 
 
 def _centered_sums(g: np.ndarray, total: float) -> tuple[float, float, float]:
-    """sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of an n x n array with sum ``total``.
+    """sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of a symmetric n x n array g.
 
     Gc is the double-centered matrix and dc its diagonal.  The grand mean is
     total / n^2, bit for bit ``g.mean()`` (the same pairwise sum, divided by
-    n^2), so the pass reads the array for its row means and once more for
-    the tiles.  Gc is formed and squared tile by tile (``_row_tiles``), so
-    no second n x n array is made, and ||Gc||_F^2 is the ``_fsum`` of the
-    tiles' sums: bit for bit the one-array sum up to 90 points (one tile).
+    n^2), so the pass reads the array for its row means and then reads the
+    upper triangle once more, a square block at a time (``_square_blocks``):
+    each block is centered by its rows' and its columns' row means and the
+    grand mean, and squared, in one scratch tile, so no second n x n array
+    is made.  The blocks cover the upper triangle alone, so g must be
+    symmetric (``GramMatrix`` checks it where it is not known to be).  dc
+    comes from the diagonal blocks, with the whole-array formula's bits, and
+    ||Gc||_F^2 is the ``_fsum`` of the blocks' sums, an off-diagonal block's
+    doubled for its mirror: bit for bit the one-array sum up to one block.
     """
     n = len(g)
     diag, parts = np.empty(n), []
     with np.errstate(over="ignore", invalid="ignore"):
-        row_mean = g.mean(axis=1, keepdims=True)
+        row_mean = g.mean(axis=1)
         mean = total / (n * n)
-        for rows, gc in _row_tiles(*g.shape):
-            np.subtract(g[rows], row_mean[rows], out=gc)
-            gc -= row_mean.T
+        for ri, rj, gc in _square_blocks(n):
+            np.subtract(g[ri, rj], row_mean[ri, None], out=gc)
+            gc -= row_mean[rj]
             gc += mean
-            diag[rows] = np.diagonal(gc, rows.start)
-            parts.append(float(np.square(gc, out=gc).sum()))
+            if ri == rj:
+                diag[ri] = np.diagonal(gc)
+            part = float(np.square(gc, out=gc).sum())
+            parts.append(part if ri == rj else 2.0 * part)
         sum_dc_sq = float((diag * diag).sum())
     return float(diag.sum()), sum_dc_sq, _fsum(parts)
 
@@ -264,7 +294,7 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     # the Gaussian Gram is exactly symmetric already (see _kernel_block)
     if spec.kind != GAUSSIAN:
         _symmetrize(g)
-    return GramMatrix(g)
+    return GramMatrix(g, symmetric=True)
 
 
 def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -326,11 +356,15 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     Both point sets are centered by the mean of ``x`` (the kernel is
     translation-invariant, and centering shrinks the cancellation in
     ||a||^2 + ||b||^2 - 2 <a, b>); negative squared distances are clamped
-    at 0.  With z = x, the norm sum is exactly symmetric because addition
-    commutes, and so is the product: numpy evaluates ``a @ a.T`` as a
-    symmetric rank-k update and copies one triangle onto the other.  The
-    rest runs tile by tile (``_row_tiles``), writing over the product, and
-    with z = x the diagonal, a zero distance, is set to exactly exp(0) = 1.
+    at 0.  The rest runs in place over the product, in a scratch tile.  For
+    a cross block (z is not x) it runs a tile of rows at a time
+    (``_row_tiles``).  With z = x it runs over the upper triangle's square
+    blocks (``_square_blocks``) and copies each block's transpose into its
+    mirror, so half the entries are computed; entry (j, i) gets the bits of
+    entry (i, j) from the same operands, because the norm sum commutes and
+    numpy evaluates ``a @ a.T`` as a symmetric rank-k update that copies one
+    triangle onto the other.  The diagonal, a zero distance, is then set to
+    exactly exp(0) = 1.
     An entry's error is about eps * (||xc_i||^2 + ||zc_j||^2) / bandwidth,
     largest where two close points lie far from the center; when the spread
     exceeds ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths (this includes norms
@@ -346,17 +380,38 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     if not (x_sq.max() + z_sq.max()) / bandwidth <= GAUSSIAN_PRODUCT_MAX_SPREAD:
         return _gaussian_gram(x, z, bandwidth)
     g = xc @ zc.T
-    for rows, sq in _row_tiles(*g.shape):
-        part = g[rows]
-        np.add(x_sq[rows, None], z_sq, out=sq)
-        part *= 2.0
-        sq -= part
-        np.maximum(sq, 0.0, out=sq)
-        np.divide(sq, -bandwidth, out=sq)
-        np.exp(sq, out=part)
-    if z is x:
-        np.fill_diagonal(g, 1.0)
+    del xc, zc  # the blocks' scratch tile need not come beside them
+    x_half = x_sq / 2.0
+    z_half = x_half if z is x else z_sq / 2.0
+    if z is not x:
+        for rows, sq in _row_tiles(*g.shape):
+            _gaussian_from_product(g[rows], x_half[rows], z_half, bandwidth, sq)
+        return g
+    for ri, rj, sq in _square_blocks(len(g)):
+        part = g[ri, rj]
+        _gaussian_from_product(part, x_half[ri], x_half[rj], bandwidth, sq)
+        if ri != rj:
+            g[rj, ri] = part.T
+    np.fill_diagonal(g, 1.0)
     return g
+
+
+def _gaussian_from_product(part: np.ndarray, x_half: np.ndarray, z_half: np.ndarray,
+                           bandwidth: float, sq: np.ndarray) -> None:
+    """Overwrite a block of <xc_i, zc_j> with exp(-max(sq_ij, 0) / bandwidth).
+
+    sq_ij / 2 = (||xc_i||^2 / 2 + ||zc_j||^2 / 2) - <xc_i, zc_j> is formed in
+    the scratch tile ``sq`` of the block's shape and divided by
+    -bandwidth / 2.  Halving a float commutes with rounding unless the half
+    is subnormal, so the quotient has the bits of ((||xc_i||^2 + ||zc_j||^2)
+    - 2 <xc_i, zc_j>) / -bandwidth without a pass that doubles the product;
+    a subnormal half needs squared norms below about 1e-290.
+    """
+    np.add(x_half[:, None], z_half, out=sq)
+    sq -= part
+    np.maximum(sq, 0.0, out=sq)
+    np.divide(sq, -0.5 * bandwidth, out=sq)
+    np.exp(sq, out=part)
 
 
 def _row_tiles(n: int, m: int, lead: tuple[int, ...] = (),
@@ -376,6 +431,26 @@ def _row_tiles(n: int, m: int, lead: tuple[int, ...] = (),
     for lo in range(0, n, step):
         rows = min(step, n - lo)
         yield slice(lo, lo + rows), buf[:rows * width].reshape(*lead, rows, m)
+
+
+def _square_blocks(n: int) -> list[tuple[slice, slice, np.ndarray]]:
+    """The upper triangle's square blocks of an n x n array, each with a scratch tile.
+
+    Rows ``ri`` and columns ``rj`` cut at multiples of ``_BLOCK_SIDE``, with
+    ``rj.start >= ri.start``, in row-major order; every tile is an
+    uninitialized contiguous view of one array of the block's shape, so a
+    symmetric pass reads and writes each block and its mirror (rows ``rj``,
+    columns ``ri``) once, beside one block of scratch.  A matrix of at most
+    one block is one block of n x n.
+    """
+    if n <= _BLOCK_SIDE:
+        whole = slice(0, n)
+        return [(whole, whole, np.empty((n, n)))]
+    buf = np.empty(_BLOCK_SIDE * _BLOCK_SIDE)
+    cuts = [slice(lo, min(lo + _BLOCK_SIDE, n)) for lo in range(0, n, _BLOCK_SIDE)]
+    return [(ri, rj, buf[:(ri.stop - ri.start) * (rj.stop - rj.start)].reshape(
+                ri.stop - ri.start, rj.stop - rj.start))
+            for k, ri in enumerate(cuts) for rj in cuts[k:]]
 
 
 def _read_csv(path) -> np.ndarray:
@@ -442,31 +517,40 @@ def load_gram_csv(path) -> GramMatrix:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ParameterError(
             f"{name}: precomputed kernel matrix has non-finite entries (nan or inf)")
-    if _symmetrize(m) > SYMMETRY_RTOL * max(1.0, hi, -lo):
+    if _symmetrize(m) > _symmetry_bound(hi, lo):
         raise ParameterError(
             f"{name}: precomputed kernel matrix is not symmetric within tolerance")
-    return GramMatrix(m)
+    return GramMatrix(m, symmetric=True)
 
 
-def _symmetrize(m: np.ndarray) -> float:
+def _symmetrize(m: np.ndarray, in_place: bool = True) -> float:
     """Overwrite the square array m with (m + m^T) / 2; return max |m - m^T|.
 
-    The pass runs over the upper triangle a tile of rows at a time
-    (``_row_tiles``): rows lo:hi from column lo on, and the matching
-    columns, both read into one tile before either is written, so no second
-    n x n array is formed.  Addition commutes, so every entry gets the bits
-    of the whole-array (m + m.T) / 2.  An entry or a difference that
-    overflows comes out inf, without a warning.
+    The pass runs over the upper triangle a square block at a time
+    (``_square_blocks``): each block and its mirror are both read into one
+    tile before either is written, so no second n x n array is formed.
+    Addition commutes, so every entry gets the bits of the whole-array
+    (m + m.T) / 2, and a diagonal block's sum is already symmetric.  An
+    entry or a difference that overflows comes out inf, without a warning.
+    With ``in_place`` false, m is only read and the gap returned.
     """
-    n, asymmetry = len(m), 0.0
+    asymmetry = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, tile in _row_tiles(n, n):
-            upper, lower = m[rows, rows.start:], m[rows.start:, rows].T
-            part = tile[:, rows.start:]
-            np.subtract(upper, lower, out=part)
-            asymmetry = max(asymmetry, float(np.abs(part, out=part).max()))
-            np.add(upper, lower, out=part)
-            part /= 2.0
-            upper[...] = part
-            lower[...] = part
+        for ri, rj, tile in _square_blocks(len(m)):
+            upper, lower = m[ri, rj], m[rj, ri].T
+            np.subtract(upper, lower, out=tile)
+            asymmetry = max(asymmetry, float(np.abs(tile, out=tile).max()))
+            if in_place:
+                np.add(upper, lower, out=tile)
+                np.divide(tile, 2.0, out=upper)
+                if ri != rj:
+                    lower[...] = upper
     return asymmetry
+
+
+def _symmetry_bound(hi: float, lo: float) -> float:
+    """Largest max |m - m^T| accepted: ``SYMMETRY_RTOL`` of max(1, max |m|).
+
+    ``hi`` and ``lo`` are m's largest and smallest entries.
+    """
+    return SYMMETRY_RTOL * max(1.0, hi, -lo)

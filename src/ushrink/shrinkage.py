@@ -358,8 +358,11 @@ def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
     Gc is the double-centered Gram matrix and dc its diagonal.  Centering
     keeps ``_covop_delta``'s polynomials well conditioned: the sums live on
     the scale of the kernel differences themselves.  The sums come from one
-    tiled pass, ``kernels._centered_sums``, which a ``GramMatrix`` runs once
-    and shares between both covariance-operator variants.
+    blocked pass, ``kernels._centered_sums``, which a ``GramMatrix`` runs
+    once and shares between both covariance-operator variants.  That pass
+    reads the upper triangle alone, so a matrix not known to be symmetric
+    (a raw array, say) must be symmetric within ``load_gram_csv``'s
+    tolerance, or ``ParameterError`` is raised (see ``GramMatrix``).
     """
     g = _gram(gram)
     _check_covop_n(g.n)

@@ -142,6 +142,9 @@ def centered_gram_sums(g) -> tuple[int, float, float, float]:
 def cov_shrink_untiled(data, tau: float, variant: str) -> dict:
     """``shrink_cov_matrix`` on whole arrays, as it ran before its tiling.
 
+    The data are centered by the corrected two-pass algorithm, x - fl(xbar)
+    less its own mean, as ``covmat._moments`` centers them (the residuals'
+    sum is one product with a vector of ones).
     Sigma_hat is one product of the centered data, sym(Xc^T Xc / n); its
     traces and sum_i ||X_i - Xbar||^4 are numpy's sums over whole arrays;
     delta_hat and dist_sq are the linear-kernel polynomials of the ``covmat``
@@ -152,6 +155,7 @@ def cov_shrink_untiled(data, tau: float, variant: str) -> dict:
     x = np.asarray(data, dtype=float)
     n, d = x.shape
     xc = x - x.mean(axis=0)
+    xc -= np.ones(n) @ xc / n
     s = xc.T @ xc / n
     s = (s + s.T) / 2.0
     sq_norms = np.sum(xc * xc, axis=1)
@@ -191,3 +195,39 @@ def normal_mean_untiled(data, c: float) -> dict:
 def rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def cov_shrink_exact(data, tau: float, variant: str) -> dict:
+    """``shrink_cov_matrix``'s delta_hat, dist_sq and alpha in exact arithmetic.
+
+    Every float is a rational, so the data's mean, Sigma_hat (divisor n),
+    Tr[Sigma_hat], Tr[Sigma_hat^2] = ||Sigma_hat||_F^2 and
+    sum_i ||X_i - Xbar||^4 are formed as ``fractions.Fraction`` without
+    rounding, and so are the two polynomials of the ``covmat`` docstring and
+    the clamped coefficient.  Pure Python: keep n <= 50 or so.
+    """
+    from fractions import Fraction
+
+    rows = [[Fraction(v) for v in row]
+            for row in np.asarray(data, dtype=float).tolist()]
+    n, d = len(rows), len(rows[0])
+    mean = [sum(col) / n for col in zip(*rows)]
+    resid = [[v - mu for v, mu in zip(row, mean)] for row in rows]
+    s = [[sum(r[a] * r[b] for r in resid) / n for b in range(d)] for a in range(d)]
+    tr = sum(s[a][a] for a in range(d))
+    tr_s2 = sum(v * v for row in s for v in row)
+    fourth = sum(sum(v * v for v in r) ** 2 for r in resid)
+    if variant == "general":
+        delta = (fourth / ((n - 2) * (n - 3))
+                 - Fraction(n * (n + 1), (n - 1) ** 2 * (n - 3)) * tr_s2
+                 - Fraction(n, (n - 1) * (n - 2) * (n - 3)) * tr * tr)
+    else:
+        c = 2 * math.comb(n, 2) * math.perm(n, 4)
+        delta = (Fraction(n * (n * n - 3 * n + 4), c) * fourth
+                 - Fraction(4 * n * n * (n - 2), c) * tr_s2
+                 + Fraction(n * n * (n * n - 5 * n + 4), c) * tr * tr)
+    t = Fraction(tau)
+    dist = (Fraction(n * n, (n - 1) ** 2) * tr_s2 - Fraction(2 * n, n - 1) * t * tr
+            + t * t * d)
+    alpha = min(Fraction(1), max(Fraction(0), delta / (delta + dist)))
+    return {"delta_hat": delta, "dist_sq": dist, "alpha": alpha}

@@ -1,11 +1,13 @@
 """``bench/pairs.py`` refuses two checkouts whose benchmark code differs, or
-whose paths differ in length.
+whose paths differ in length, and flags the medians that moved beyond their
+bound.
 
-The script is loaded from its file; nothing is run, since the checks come
-before the first benchmark run.
+The script is loaded from its file; no benchmark is run: the checks come
+before the first run, and the verdict is tested on stand-in results.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -89,3 +91,36 @@ def test_paths_of_equal_length_run(pairs, tmp_path):
     (tmp_path / "x").mkdir()
     with pytest.raises(AssertionError, match="a benchmark ran"):
         _main(pairs, tmp_path / "x" / ".." / "parent", after, tmp_path / "BENCH.json")
+
+
+def test_verdict_flags_medians_beyond_bound(pairs, tmp_path, monkeypatch, capsys):
+    # after against before: setup_s +32% (bound 25%, flagged), cpu_s -10%,
+    # replications_per_cpu_s -20% (bound 25%, not flagged)
+    spec = {"end_to_end": [
+        {"name": "cpu_s", "better": "lower", "bound": 0.25},
+        {"name": "replications_per_cpu_s", "better": "higher", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "x.calls", "better": "lower"}]}
+    files = {**BENCH, "BENCHMARK.json": json.dumps(spec)}
+    before = _checkout(tmp_path / "before", files)
+    after = _checkout(tmp_path / "after0", files)
+    values = {before: {"cpu_s": 1.0, "replications_per_cpu_s": 10.0, "setup_s": 0.161},
+              after: {"cpu_s": 0.9, "replications_per_cpu_s": 8.0, "setup_s": 0.212}}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                **({"x.calls": 1} if trace else values[checkout])}
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "1-2", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["setup_s"]["median_change"] == pytest.approx(0.212 / 0.161 - 1)
+    assert [name for name, entry in summary.items() if entry["beyond_bound"]] == [
+        "setup_s"]
+    assert summary["replications_per_cpu_s"]["median_change"] == pytest.approx(-0.2)
+    err = capsys.readouterr().err
+    assert ("w: beyond its bound: setup_s: median 0.161 -> 0.212 (+31.7%, bound 25%)"
+            in err)
+    assert "cpu_s: median" not in err

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,24 @@ class TestShrinkCovMatrix:
         d = res.to_dict()
         assert set(d) == {"sigma_hat", "c_hat", "shrunk", "report"}
         assert d["report"]["variant"] == "general"
+
+
+class TestExactReference:
+    # against exact rational arithmetic on the float data: the rounded mean
+    # shifts every residual by about ulp(c), which the fourth-moment sum feels
+    # at first order unless the residuals' own mean is removed (the corrected
+    # two-pass algorithm of Chan, Golub and LeVeque 1983); without that the
+    # error grew to 6e-9 at c = 1e8
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    @pytest.mark.parametrize("variant", [GENERAL, DEGENERATE])
+    def test_offset_data_within_1e12_of_exact(self, offset, variant):
+        x = np.random.default_rng(3).normal(size=(50, 3)) + offset
+        report = shrink_cov_matrix(x, 1.0, variant).report
+        exact = oracles.cov_shrink_exact(x, 1.0, variant)
+        for name, value in exact.items():
+            got = Fraction(getattr(report, name))
+            assert abs(got - value) <= Fraction(1e-12) * abs(value), name
 
 
 def offset_data(rng, n, d):

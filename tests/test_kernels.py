@@ -17,14 +17,22 @@ from ushrink import (
 from ushrink.kernels import (
     GAUSSIAN_PRODUCT_MAX_SPREAD,
     GAUSSIAN_PRODUCT_MIN_DIM,
+    _BLOCK_SIDE,
     _GRAM_TILE_VALUES,
     _gaussian_gram,
     _gaussian_gram_product,
     _kernel_block,
+    _square_blocks,
     _symmetrize,
 )
 
 SPECS = [KernelSpec.linear(), KernelSpec.gaussian(1.0), KernelSpec.exponential(1.0)]
+
+# Sizes around the square blocks' edges: one point, one short of, at and
+# past one block, two blocks and one row, three whole blocks and one row,
+# and a partial last block
+S = _BLOCK_SIDE
+BLOCK_NS = [1, S - 1, S, S + 1, 2 * S + 1, 3 * S, 3 * S + 1, 500]
 
 
 def small_datasets():
@@ -264,14 +272,17 @@ class TestGaussianProductRoute:
             x, z = 1.0 + rng.normal(size=(n, d)), rng.normal(size=(cols, d))
             ref = oracles.gaussian_gram_product(x, z, bandwidth)
             assert np.array_equal(_gaussian_gram_product(x, z, bandwidth), ref), n
-        # square Grams: one point, one row either side of filling one tile
-        # (90 rows of 90) and two tiles (64 rows of 128)
-        for n in (1, 90, 91, 92, 127, 128, 129):
-            x = rng.normal(size=(n, d))
-            g = gram(KernelSpec.gaussian(bandwidth), x).entries
-            assert np.array_equal(g, oracles.gaussian_gram_product(x, x, bandwidth)), n
-            assert np.array_equal(g, g.T)
-            assert np.array_equal(np.diagonal(g), np.ones(n))
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("d", [8, 20, 64])
+    def test_square_blocks_match_untiled_formula_bitwise(self, d, n):
+        # the square Gram runs a block of the upper triangle at a time and
+        # mirrors it; every blocking must give the whole-array formula's bits
+        x = np.random.default_rng(300 + n + d).normal(size=(n, d))
+        g = gram(KernelSpec.gaussian(2.0 * d), x).entries
+        assert np.array_equal(g, oracles.gaussian_gram_product(x, x, 2.0 * d))
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(np.diagonal(g), np.ones(n))
 
     def test_holds_one_square_array(self):
         # the product array becomes the Gram: one n x n array and a fixed tile
@@ -333,16 +344,42 @@ def _write_csv(tmp_path, m):
     return path
 
 
+class TestSquareBlocks:
+    # the symmetric passes (the product Gram, _symmetrize, the centered sums)
+    # visit the upper triangle's square blocks
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_blocks_cover_each_pair_once(self, n):
+        seen = np.zeros((n, n), dtype=int)
+        for ri, rj, tile in _square_blocks(n):
+            assert rj.start >= ri.start and ri.start % S == rj.start % S == 0
+            assert tile.shape == (ri.stop - ri.start, rj.stop - rj.start)
+            assert tile.flags.c_contiguous
+            seen[ri, rj] += 1
+            if ri != rj:
+                seen[rj, ri] += 1
+        assert (seen == 1).all()
+
+    @pytest.mark.parametrize("n", [1, S])
+    def test_one_block_is_the_whole_array(self, n):
+        [(ri, rj, tile)] = _square_blocks(n)
+        assert ri == rj == slice(0, n) and tile.shape == (n, n)
+
+
 class TestSymmetrize:
     # (m + m^T) / 2 in place, for the linear and exponential Grams and for
     # loaded matrices
 
-    @pytest.mark.parametrize("n", [1, 2, 90, 91, 92, 128, 129, 300])
+    @pytest.mark.parametrize("n", sorted({2, 90, 91, 92, 128, 129, 300, *BLOCK_NS}))
     def test_symmetrize_tiles_match_whole_array_bitwise(self, n):
-        # the pass runs a tile of rows at a time over the upper triangle; every
-        # tiling must give (m + m.T) / 2 and max |m - m.T| on the whole array
+        # the pass runs a square block of the upper triangle and its mirror at
+        # a time; every blocking must give (m + m.T) / 2 and max |m - m.T| on
+        # the whole array
         m = np.random.default_rng(n).normal(scale=1e3, size=(n, n))
         ref, gap = (m + m.T) / 2.0, float(np.abs(m - m.T).max())
+        before = m.copy()
+        assert _symmetrize(m, in_place=False) == gap  # the gap alone
+        assert np.array_equal(m, before)
         assert _symmetrize(m) == gap
         assert np.array_equal(m, ref)
 

@@ -11,6 +11,7 @@ from ushrink import kernels
 from ushrink import (
     DEGENERATE,
     GENERAL,
+    GramMatrix,
     InsufficientSampleError,
     KernelSpec,
     ParameterError,
@@ -31,6 +32,7 @@ from ushrink import (
     shrink_mean,
     u_stat_perm,
 )
+from ushrink.kernels import _BLOCK_SIDE as S
 from ushrink.shrinkage import DIST_SQ_FLOOR, _centered_gram_sums, _report, _snap_alpha
 
 # finite doubles, subnormals and both zeros included
@@ -348,10 +350,13 @@ class TestShrinkCovop:
         with pytest.raises(ValueError, match="overflow"):
             fn(1e152 * np.outer(signs, signs))
 
-    @pytest.mark.parametrize("n", [4, 90, 91, 92, 182, 500])
+    @pytest.mark.parametrize("n", sorted({4, 90, 91, 92, 182, S - 1, S, S + 1,
+                                          2 * S + 1, 3 * S, 3 * S + 1, 500}))
     def test_streamed_sums_match_one_array_formula(self, n):
-        # Gc is formed and squared tile by tile; up to 90 points the Gram is
-        # one tile and every sum keeps the whole-array formula's bits
+        # Gc is formed and squared a square block of the upper triangle at a
+        # time (side S); up to one block every sum keeps the whole-array
+        # formula's bits, and beyond it ||Gc||_F^2 stays within 1e-15 of the
+        # exact sum of the rounded squares
         g = gram(KernelSpec.gaussian(20.0),
                  np.random.default_rng(n).normal(size=(n, 20))).entries
         sums = _centered_gram_sums(g)
@@ -359,8 +364,42 @@ class TestShrinkCovop:
         assert sums[:3] == ref[:3]
         exact = math.fsum(np.square(oracles.double_centered_gram(g)).ravel())
         assert abs(sums[3] - exact) <= 1e-15 * exact
-        if n <= 90:
+        if n <= S:
             assert sums[3] == ref[3]
+
+    def test_raw_asymmetric_array_refused(self):
+        # the centered sums read the upper triangle alone, so a raw array must
+        # be symmetric within load_gram_csv's tolerance
+        g = gram(LINEAR, np.random.default_rng(21).normal(size=(6, 2))).entries.copy()
+        g[4, 1] += 1e-6 * np.abs(g).max()
+        for fn in (shrink_covop, shrink_covop_degen):
+            with pytest.raises(ParameterError, match="not symmetric"):
+                fn(g)
+        shrink_mean(g)  # the mean reads the trace and the total, not a triangle
+
+    def test_built_gram_matrix_checked_as_raw_array(self):
+        # a GramMatrix built by the caller gets the raw array's check, so the
+        # same entries give the same answer however they are passed
+        x = np.random.default_rng(23).normal(size=(200, 3))
+        g = gram(LINEAR, x)
+        asym = g.entries.copy()
+        asym[150, 3] += 1e-6 * np.abs(asym).max()
+        assert not GramMatrix(asym).symmetric and g.symmetric
+        for fn in (shrink_covop, shrink_covop_degen):
+            with pytest.raises(ParameterError, match="not symmetric"):
+                fn(GramMatrix(asym))
+            assert repr(fn(GramMatrix(g.entries.copy()))) == repr(fn(g))
+
+    def test_raw_symmetric_array_accepted(self):
+        # within the tolerance the raw array gives the reports of its exactly
+        # symmetric GramMatrix up to rounding
+        x = np.random.default_rng(22).normal(size=(200, 3))
+        g = gram(LINEAR, x)
+        raw = g.entries.copy()
+        raw[150, 3] += 1e-12 * np.abs(raw).max()
+        for fn in (shrink_covop, shrink_covop_degen):
+            assert fn(raw).delta_hat == pytest.approx(fn(g).delta_hat, rel=1e-9)
+            assert repr(fn(g.entries.copy())) == repr(fn(g))
 
     @pytest.mark.parametrize("fn", [shrink_covop, shrink_covop_degen],
                              ids=lambda f: f.__name__)
