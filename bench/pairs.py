@@ -12,7 +12,8 @@ the number of pairs the ``after`` side wins on each metric (``summary`` and
 also gives ``median_change``, the relative change of the median (after
 against before), and ``beyond_bound``, true when that change is worse than
 the metric's ``bound`` in ``BENCHMARK.json``; the metrics beyond their bound
-are also printed to stderr.  Both checkouts must contain the same
+are also printed to stderr.  A seed range with no seed (``60-51``) exits 1
+before any run.  Both checkouts must contain the same
 ``perfbench/*.py`` and ``BENCHMARK.json``: before the first run it compares
 their bytes and exits 1 naming the first file that differs.  It also exits 1
 when the two checkouts' resolved paths differ in length, because
@@ -99,11 +100,15 @@ def _first_difference(before: Path, after: Path) -> str | None:
 
 
 def _quartiles(values: list[float]) -> dict:
+    """Median and quartiles; one value is its own median and quartiles."""
+    if len(values) == 1:
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
 def _seeds(text: str) -> list[int]:
+    """The seeds of ``N`` or ``LO-HI``; empty when HI < LO."""
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
 
@@ -132,6 +137,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
 
+    seeds = _seeds(args.seeds)
+    if not seeds:
+        print(f"error: --seeds {args.seeds} names no seed; give one seed or a "
+              "range LO-HI with LO <= HI", file=sys.stderr)
+        return 1
     differs = _first_difference(args.before, args.after)
     if differs is not None:
         print(f"error: {differs} differs between {args.before} and {args.after}; "
@@ -148,7 +158,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     layer_metrics = {m["name"]: m["better"] for m in spec["per_layer"]}
     pairs = []
-    for i, seed in enumerate(_seeds(args.seeds)):
+    for i, seed in enumerate(seeds):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         pair = {"first": order[0]}
         layers = {}

@@ -227,7 +227,7 @@ def _run_mean_shrink(config: argparse.Namespace) -> dict:
         if config.target == "dual":
             landmarks = read_dataset(config.landmarks_path)
             target = TargetSpec.dual(landmarks, config.target_coeffs)
-            cross = _kernel_block(spec, data, landmarks)
+            cross, _ = _kernel_block(spec, data, landmarks)
             tg = gram(spec, landmarks).entries
             element, report = shrink_mean(g, target, cross, tg)
         else:

@@ -4,10 +4,10 @@ Every estimator in this package consumes data only through pairwise kernel
 evaluations, so the n x n Gram matrix is the sufficient statistic for all
 downstream computations.  Three kernel families are provided; a Gram matrix
 computed elsewhere is loaded with ``load_gram_csv``.  A ``GramMatrix`` reduces
-its entries to the few sums the shrinkage estimators need (trace and total,
-and the sums of the double-centered matrix) at most once each, when first
-asked, and keeps them; its entries are read-only, so the sums cannot go
-stale.
+its entries to the few sums the shrinkage estimators need (the trace, the
+row sums, which give the total and the row means, and the sums of the
+double-centered matrix) at most once each, when first asked, and keeps
+them; its entries are read-only, so the sums cannot go stale.
 
 Parameterizations:
 
@@ -21,18 +21,25 @@ the Gaussian Gram is one n x n array beside a scratch tile of fixed size.
 The passes over a symmetric n x n array (the product Gram, the centered
 sums and ``_symmetrize``) visit the upper triangle's square blocks
 (``_square_blocks``, of side ``_BLOCK_SIDE``) and mirror or double each
-off-diagonal block, so they touch each entry pair once; the Gram and the
-symmetrized matrices keep the bits of the whole-array formulas.
-Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates it sums its squared distances
-one coordinate at a time, in coordinate order; from that dimension on it
-takes them from one matrix product of the centered data, ||x_i||^2 +
-||x_j||^2 - 2 <x_i, x_j>, as long as the data's spread max ||x_i||^2 +
-max ||x_j||^2 is at most ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths.  The
-product route is faster but not bit-identical to the coordinate sums: its
-entries differ from them by up to a few eps times spread / bandwidth
-(measured: 2 eps per unit of that ratio at d = 20, 4.5 at d = 130, 8.5 at
-d = 1000), so by at most about 6e-14 under the cap.  Its last bits can
-depend on the number of BLAS threads.
+off-diagonal block, so they touch each entry pair once; the symmetrized
+matrices keep the bits of the whole-array formula.
+Below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates the Gaussian Gram sums its
+squared distances one coordinate at a time, in coordinate order; from that
+dimension on it takes them from matrix products of the centered data,
+||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>, one square block at a time, as long
+as the data's spread max ||x_i||^2 + max ||x_j||^2 is at most
+``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths.  Each block's product is formed
+and turned into kernel values while it is in cache, and its row sums are
+kept, so the product route hands ``GramMatrix`` its row sums and no n x n
+product array is formed.  That route is faster but not bit-identical to
+the coordinate sums: its entries differ from them by up to a few eps times
+spread / bandwidth (measured: 2 eps per unit of that ratio at d = 20, 4.5
+at d = 130, 8.5 at d = 1000), so by at most about 6e-14 under the cap.
+Against a long-double evaluation of the kernel on the same float data
+(d = 8 to 64, spread / bandwidth 1.6 to 3.3, near-duplicate rows
+included) its error was 1.4 to 5 eps, as was that of one whole product.
+Its last bits depend on the block sizes, so on n, and at some shapes on
+the number of BLAS threads (README, *Reproducibility*).
 Datasets and loaded Gram matrices must be finite, and a Gram matrix whose
 entries overflow (the exponential kernel on large inputs) raises
 ``ValueError`` rather than returning inf or nan.  Loaded matrices are
@@ -47,7 +54,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -87,7 +94,8 @@ _GRAM_TILE_VALUES = 2**13
 # Side of the square blocks of the symmetric n x n passes (``_square_blocks``),
 # so a matrix of up to 128 rows is one block.  With one BLAS thread at
 # n = 2000, sides of 64, 90 and 256 made the product and centered passes
-# slower than 128.
+# slower than 128 while the product was one whole array; with a product per
+# block, 192 built the Gram and its sums about 10% faster (ROADMAP item 7).
 _BLOCK_SIDE = 128
 
 
@@ -153,17 +161,21 @@ class GramMatrix:
     ``entries`` is stored as a read-only view (the array passed in keeps its
     own flags), so the statistics the shrinkage estimators read from it are
     computed once per ``GramMatrix``, on first use, and cannot go stale:
-    the trace and the entry sum (``_gram_sums``), and the sums of the
-    double-centered Gram (``_centered_sums``).  The centered sums read the
-    upper triangle's entries, so before taking them a matrix is checked to
-    be symmetric within ``SYMMETRY_RTOL`` of its largest absolute entry (at
-    least 1), as ``load_gram_csv`` checks, and ``ParameterError`` is raised
-    if it is not.  ``symmetric=True`` states that the entries are exactly
-    symmetric and skips that pass; ``gram`` and ``load_gram_csv`` set it.
+    the row sums, the trace and the total (the sum of the row sums), and
+    the sums of the double-centered Gram (``_centered_sums``).  ``gram``
+    hands over the row sums where its route formed them with the entries
+    (the Gaussian product route); otherwise one ``_row_sums`` pass forms
+    them.  The centered sums read the upper triangle's entries, so before
+    taking them a matrix is checked to be symmetric within
+    ``SYMMETRY_RTOL`` of its largest absolute entry (at least 1), as
+    ``load_gram_csv`` checks, and ``ParameterError`` is raised if it is
+    not.  ``symmetric=True`` states that the entries are exactly symmetric
+    and skips that pass; ``gram`` and ``load_gram_csv`` set it.
     """
 
     entries: np.ndarray
     symmetric: bool = False
+    _row_sums: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries).view()
@@ -175,8 +187,14 @@ class GramMatrix:
         return self.entries.shape[0]
 
     @functools.cached_property
-    def _trace_total(self) -> tuple[float, float]:
-        return _gram_sums(self.entries)
+    def _row_stats(self) -> tuple[float, float, np.ndarray]:
+        """Trace, total (the sum of the row sums) and row sums.
+
+        An overflow comes out inf or nan; ``shrinkage.alpha_from`` raises on it.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _row_sums(self.entries) if self._row_sums is None else self._row_sums
+            return float(self.entries.trace()), float(np.add.reduce(rows)), rows
 
     @functools.cached_property
     def _centered(self) -> tuple[float, float, float]:
@@ -186,37 +204,38 @@ class GramMatrix:
             raise ParameterError(
                 "Gram matrix is not symmetric within tolerance; the covariance-"
                 "operator sums read its upper triangle")
-        return _centered_sums(g, self._trace_total[1])
+        _, total, rows = self._row_stats
+        return _centered_sums(g, rows, total)
 
 
-def _gram_sums(g: np.ndarray) -> tuple[float, float]:
-    """Trace and sum of the entries of an n x n array.
+def _row_sums(g: np.ndarray) -> np.ndarray:
+    """Row sums of an n x n array, each numpy's pairwise sum of its row.
 
-    An overflow comes out inf or nan; ``shrinkage.alpha_from`` raises on it.
+    ``np.add.reduce`` is ``g.sum(axis=1)`` without its wrapper's call cost.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(g.trace()), float(g.sum())
+    return np.add.reduce(g, axis=1)
 
 
-def _centered_sums(g: np.ndarray, total: float) -> tuple[float, float, float]:
+def _centered_sums(g: np.ndarray, row_sums: np.ndarray,
+                   total: float) -> tuple[float, float, float]:
     """sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of a symmetric n x n array g.
 
-    Gc is the double-centered matrix and dc its diagonal.  The grand mean is
-    total / n^2, bit for bit ``g.mean()`` (the same pairwise sum, divided by
-    n^2), so the pass reads the array for its row means and then reads the
-    upper triangle once more, a square block at a time (``_square_blocks``):
-    each block is centered by its rows' and its columns' row means and the
-    grand mean, and squared, in one scratch tile, so no second n x n array
-    is made.  The blocks cover the upper triangle alone, so g must be
-    symmetric (``GramMatrix`` checks it where it is not known to be).  dc
-    comes from the diagonal blocks, with the whole-array formula's bits, and
-    ||Gc||_F^2 is the ``_fsum`` of the blocks' sums, an off-diagonal block's
-    doubled for its mirror: bit for bit the one-array sum up to one block.
+    Gc is the double-centered matrix and dc its diagonal.  The row means are
+    row_sums / n and the grand mean total / n^2, both from the statistics
+    ``GramMatrix`` holds, so the pass reads g once, the upper triangle a
+    square block at a time (``_square_blocks``): each block is centered by
+    its rows' and its columns' row means and the grand mean, and squared,
+    in one scratch tile, so no second n x n array is made.  The blocks
+    cover the upper triangle alone, so g must be symmetric (``GramMatrix``
+    checks it where it is not known to be).  dc comes from the diagonal
+    blocks, with the whole-array formula's bits, and ||Gc||_F^2 is the
+    ``_fsum`` of the blocks' sums, an off-diagonal block's doubled for its
+    mirror: bit for bit the one-array sum up to one block.
     """
     n = len(g)
     diag, parts = np.empty(n), []
     with np.errstate(over="ignore", invalid="ignore"):
-        row_mean = g.mean(axis=1)
+        row_mean = row_sums / n
         mean = total / (n * n)
         for ri, rj, gc in _square_blocks(n):
             np.subtract(g[ri, rj], row_mean[ri, None], out=gc)
@@ -283,23 +302,27 @@ def gram(spec: KernelSpec, data) -> GramMatrix:
     diagonal of exactly 1: below ``GAUSSIAN_PRODUCT_MIN_DIM`` coordinates its
     squared distances are summed coordinate by coordinate (see
     ``_gaussian_gram``), from there on, for data within
-    ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths, they come from one symmetric
-    matrix product (see ``_gaussian_gram_product``).  It uses O(n^2) memory,
-    one n x n array and a fixed tile on either route, never an (n, n, d)
-    array of differences.
+    ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths, they come from symmetric
+    blocked matrix products (see ``_gaussian_gram_product``), which also
+    give the ``GramMatrix`` its row sums.  It uses O(n^2) memory, one n x n
+    array and a fixed tile on either route, never an (n, n, d) array of
+    differences.
     A Gram matrix computed elsewhere comes from ``load_gram_csv`` instead.
     """
     x = as_dataset(data)
-    g = _kernel_block(spec, x, x)
+    g, row_sums = _kernel_block(spec, x, x)
     # the Gaussian Gram is exactly symmetric already (see _kernel_block)
     if spec.kind != GAUSSIAN:
         _symmetrize(g)
-    return GramMatrix(g, symmetric=True)
+    return GramMatrix(g, symmetric=True, _row_sums=row_sums)
 
 
-def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _kernel_block(spec: KernelSpec, x: np.ndarray,
+                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """[K(x_i, z_j)]_{i,j} for two (n, d) and (m, d) datasets, unsymmetrized.
 
+    Returned with the block's row sums where the route forms them beside the
+    entries (the Gaussian product route with z is x), else with None.
     Raises ``ValueError`` if the dimensions differ or an entry overflows.
     """
     if x.shape[1] != z.shape[1]:
@@ -308,16 +331,16 @@ def _kernel_block(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == GAUSSIAN:
             # exp(-sq / bandwidth) with sq in [0, inf]: every entry is in [0, 1]
-            route = (_gaussian_gram_product if x.shape[1] >= GAUSSIAN_PRODUCT_MIN_DIM
-                     else _gaussian_gram)
-            return route(x, z, spec.bandwidth)
+            if x.shape[1] >= GAUSSIAN_PRODUCT_MIN_DIM:
+                return _gaussian_gram_product(x, z, spec.bandwidth)
+            return _gaussian_gram(x, z, spec.bandwidth), None
         g = x @ z.T if spec.kind == LINEAR else np.exp(x @ z.T / spec.scale)
     if not np.isfinite(g).all():
         cause = (f": exp(<x, y> / scale) overflows at scale={spec.scale:g}; "
                  "a larger scale avoids it" if spec.kind == EXPONENTIAL else "")
         raise ValueError(f"the {spec.kind} kernel Gram matrix has non-finite "
                          f"entries{cause}")
-    return g
+    return g, None
 
 
 def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -349,27 +372,33 @@ def _gaussian_gram(x: np.ndarray, z: np.ndarray, bandwidth: float) -> np.ndarray
     return np.exp(acc, out=acc)
 
 
-def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
-                           bandwidth: float) -> np.ndarray:
-    """exp(-||x_i - z_j||^2 / bandwidth) from one matrix product.
+def _gaussian_gram_product(x: np.ndarray, z: np.ndarray, bandwidth: float
+                           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """exp(-||x_i - z_j||^2 / bandwidth) from matrix products, and row sums.
 
     Both point sets are centered by the mean of ``x`` (the kernel is
     translation-invariant, and centering shrinks the cancellation in
     ||a||^2 + ||b||^2 - 2 <a, b>); negative squared distances are clamped
-    at 0.  The rest runs in place over the product, in a scratch tile.  For
-    a cross block (z is not x) it runs a tile of rows at a time
-    (``_row_tiles``).  With z = x it runs over the upper triangle's square
-    blocks (``_square_blocks``) and copies each block's transpose into its
-    mirror, so half the entries are computed; entry (j, i) gets the bits of
-    entry (i, j) from the same operands, because the norm sum commutes and
-    numpy evaluates ``a @ a.T`` as a symmetric rank-k update that copies one
-    triangle onto the other.  The diagonal, a zero distance, is then set to
-    exactly exp(0) = 1.
+    at 0.  For a cross block (z is not x) the product is one array, turned
+    into kernel values in place a tile of rows at a time (``_row_tiles``);
+    no row sums are returned.  With z = x the Gram is built over the upper
+    triangle's square blocks (``_square_blocks``), each block's product
+    written into its place in the Gram and turned into kernel values while
+    it is in cache, so no n x n product array is formed and half the
+    entries are computed.  A diagonal block is numpy's ``a @ a.T`` of one
+    operand, a symmetric rank-k update that copies one triangle onto the
+    other, so its kernel values are exactly symmetric (the norm sum
+    commutes); its diagonal, a zero distance, is set to exactly exp(0) = 1.
+    An off-diagonal block's transpose is copied into its mirror.  Row i's
+    sum is numpy's sum of its sums over each block of columns, taken from
+    the block's rows or its mirror's.  On the shapes tested they are within
+    2 ulps of the exact row sums, or no farther than numpy's ``sum(axis=1)``
+    of the Gram, and up to one block they are that sum, bit for bit.
     An entry's error is about eps * (||xc_i||^2 + ||zc_j||^2) / bandwidth,
     largest where two close points lie far from the center; when the spread
     exceeds ``GAUSSIAN_PRODUCT_MAX_SPREAD`` bandwidths (this includes norms
     that overflow, where the formula would give inf - inf) it returns
-    ``_gaussian_gram`` instead.
+    ``_gaussian_gram`` instead, without row sums.
     """
     center = x.mean(axis=0)
     xc = x - center
@@ -378,22 +407,31 @@ def _gaussian_gram_product(x: np.ndarray, z: np.ndarray,
     z_sq = x_sq if z is x else np.einsum("ij,ij->i", zc, zc)
     # under the cap the norm sum is finite, and |2 <xc_i, zc_j>| is at most it
     if not (x_sq.max() + z_sq.max()) / bandwidth <= GAUSSIAN_PRODUCT_MAX_SPREAD:
-        return _gaussian_gram(x, z, bandwidth)
-    g = xc @ zc.T
-    del xc, zc  # the blocks' scratch tile need not come beside them
+        return _gaussian_gram(x, z, bandwidth), None
     x_half = x_sq / 2.0
-    z_half = x_half if z is x else z_sq / 2.0
     if z is not x:
+        g = xc @ zc.T
+        del xc, zc  # the tile need not come beside them
+        z_half = z_sq / 2.0
         for rows, sq in _row_tiles(*g.shape):
             _gaussian_from_product(g[rows], x_half[rows], z_half, bandwidth, sq)
-        return g
-    for ri, rj, sq in _square_blocks(len(g)):
+        return g, None
+    n = len(x)
+    g = np.empty((n, n))
+    # row i's sum over each block of columns, summed pairwise at the end
+    block_sums = np.empty((n, (n + _BLOCK_SIDE - 1) // _BLOCK_SIDE))
+    for ri, rj, sq in _square_blocks(n):
         part = g[ri, rj]
+        np.matmul(xc[ri], xc[rj].T, out=part)
         _gaussian_from_product(part, x_half[ri], x_half[rj], bandwidth, sq)
-        if ri != rj:
-            g[rj, ri] = part.T
-    np.fill_diagonal(g, 1.0)
-    return g
+        if ri == rj:
+            np.fill_diagonal(part, 1.0)
+        else:
+            mirror = g[rj, ri]
+            mirror[...] = part.T
+            block_sums[rj, ri.start // _BLOCK_SIDE] = mirror.sum(axis=1)
+        block_sums[ri, rj.start // _BLOCK_SIDE] = part.sum(axis=1)
+    return g, block_sums.sum(axis=1)
 
 
 def _gaussian_from_product(part: np.ndarray, x_half: np.ndarray, z_half: np.ndarray,

@@ -263,7 +263,7 @@ def shrink_mean(
     """
     g = _gram(gram)
     n = g.n
-    delta, mean_all = _mean_stats(*g._trace_total, n)
+    delta, mean_all = _mean_stats(*g._row_stats[:2], n)
     if target is None:
         dist_sq = mean_all
     else:

@@ -370,7 +370,7 @@ def _cov_errors(est, dist, block):
 def _gaussian_embed_errors(est, dist, block):
     m, n, d = block.shape
     # trace and entry sum of each dataset's Gram
-    sums = np.array([gram(est.kernel, data)._trace_total for data in block]).T
+    sums = np.array([gram(est.kernel, data)._row_stats[:2] for data in block]).T
     dist_sq, _, alpha = _snap_alpha(*_mean_stats(*sums, n))
     w = 1.0 - alpha
     cross = gaussian_kernel_location_moment(

@@ -7,7 +7,10 @@ Desk scale only (n <= 10 or so).  The whole-array formulas at the end
 (``gaussian_gram_product``, ``centered_gram_sums``, ``cov_shrink_untiled``,
 ``normal_mean_untiled``) are the untiled forms of the package's tiled
 passes, which must reproduce their bits up to one tile and stay within
-rounding of them beyond.
+rounding of them beyond.  ``cov_shrink_exact``, ``gram_sums_exact`` and
+``gram_reports_exact`` compute statistics of float input in exact rational
+arithmetic, and ``gaussian_gram_longdouble`` the Gaussian Gram in long
+double, as references for the rounding error of every float route.
 """
 
 import math
@@ -93,13 +96,17 @@ def covop_norm_sq_brute(g) -> float:
     return unrestricted / (4 * math.perm(n, 2) ** 2)
 
 
-def gaussian_gram_product(x, z, bandwidth) -> np.ndarray:
-    """The Gaussian product route on whole n x m arrays, as it ran untiled.
+def gaussian_gram_product(x, z, bandwidth, side=None) -> np.ndarray:
+    """The Gaussian product route's elementwise formula on whole n x m arrays.
 
     exp(-max(||xc_i||^2 + ||zc_j||^2 - 2 <xc_i, zc_j>, 0) / bandwidth) for
     points centered by the mean of ``x``, with a zero squared distance on
-    the diagonal when ``z is x``.  No spread cap: callers pass data within
-    it.  The tiled route must reproduce these bytes.
+    the diagonal when ``z is x``.  The products <xc_i, zc_j> are one
+    ``xc @ zc.T``, or, with ``z is x`` and a block ``side``, one product
+    ``xc[I] @ xc[J].T`` per square block (I, J) of the upper triangle, cut
+    at multiples of ``side``, each block's transpose copied into its mirror
+    (the products the route forms).  No spread cap: callers pass data
+    within it.  The blocked route must reproduce these bytes.
     """
     center = x.mean(axis=0)
     xc = x - center
@@ -107,7 +114,17 @@ def gaussian_gram_product(x, z, bandwidth) -> np.ndarray:
     x_sq = np.einsum("ij,ij->i", xc, xc)
     z_sq = x_sq if z is x else np.einsum("ij,ij->i", zc, zc)
     sq = np.add.outer(x_sq, z_sq)
-    cross = xc @ zc.T
+    if z is x and side is not None:
+        n = len(x)
+        cross = np.empty((n, n))
+        for lo in range(0, n, side):
+            rows = slice(lo, lo + side)
+            for hi in range(lo, n, side):
+                cols = slice(hi, hi + side)
+                cross[rows, cols] = xc[rows] @ xc[cols].T
+                cross[cols, rows] = cross[rows, cols].T
+    else:
+        cross = xc @ zc.T
     cross *= 2.0
     sq -= cross
     np.maximum(sq, 0.0, out=sq)
@@ -117,13 +134,32 @@ def gaussian_gram_product(x, z, bandwidth) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def gaussian_gram_longdouble(x, bandwidth) -> np.ndarray:
+    """exp(-||x_i - x_j||^2 / bandwidth) of the float data in long double.
+
+    The differences, their squares and sums, and exp are taken in numpy's
+    longdouble (64 significant bits on x86), so the result is within a few
+    units of 2^-64 of the exact kernel of the data, a reference for the
+    float64 routes' error.
+    """
+    xl = np.asarray(x, dtype=np.longdouble)
+    sq = np.square(xl[:, None, :] - xl[None, :, :]).sum(axis=-1)
+    return np.exp(-sq / np.longdouble(bandwidth))
+
+
 def double_centered_gram(g) -> np.ndarray:
-    """G minus its row and column means plus its grand mean, on one array."""
+    """G minus its row and column means plus its grand mean, on one array.
+
+    The row means are numpy's row sums over n, and the grand mean the sum
+    of those row sums over n^2.
+    """
     g = np.asarray(g, dtype=float)
-    row_mean = g.mean(axis=1, keepdims=True)
+    n = len(g)
+    row_sums = g.sum(axis=1, keepdims=True)
+    row_mean = row_sums / n
     gc = g - row_mean
     gc -= row_mean.T
-    gc += g.mean()
+    gc += float(row_sums.sum()) / (n * n)
     return gc
 
 
@@ -231,3 +267,55 @@ def cov_shrink_exact(data, tau: float, variant: str) -> dict:
             + t * t * d)
     alpha = min(Fraction(1), max(Fraction(0), delta / (delta + dist)))
     return {"delta_hat": delta, "dist_sq": dist, "alpha": alpha}
+
+
+def gram_sums_exact(g) -> dict:
+    """A float Gram's statistics in exact rational arithmetic.
+
+    Every float is a rational, so the trace, the total, and, for the
+    double-centered matrix Gc = G - r 1^T - 1 r^T + m (r the row means, m
+    the grand mean), sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 (dc the
+    diagonal of Gc) are ``fractions.Fraction`` values without rounding.
+    Pure Python: keep n <= 50 or so.
+    """
+    from fractions import Fraction
+
+    rows = [[Fraction(v) for v in row] for row in np.asarray(g, dtype=float).tolist()]
+    n = len(rows)
+    row_mean = [sum(row) / n for row in rows]
+    total = sum(row_mean) * n
+    mean = total / (n * n)
+    gc = [[v - row_mean[i] - row_mean[j] + mean for j, v in enumerate(row)]
+          for i, row in enumerate(rows)]
+    dc = [gc[i][i] for i in range(n)]
+    return {"n": n, "trace": sum(rows[i][i] for i in range(n)), "total": total,
+            "sum_dc": sum(dc), "sum_dc_sq": sum(v * v for v in dc),
+            "frob_sq": sum(v * v for row in gc for v in row)}
+
+
+def gram_reports_exact(g) -> dict:
+    """``shrink_mean``'s, ``shrink_covop``'s and ``shrink_covop_degen``'s
+    delta_hat and dist_sq for a float Gram, in exact rational arithmetic.
+
+    The mean's delta_hat is (mean diagonal - mean off-diagonal entry) / n and
+    its dist_sq the grand mean; the covariance operator's are the
+    polynomials in sum_dc, sum_dc_sq and frob_sq of
+    ``shrinkage._covop_delta`` (checked against the enumerated pair, triple
+    and quadruple sums by ``covop_delta_*_brute``), and its dist_sq is
+    ||Gc||_F^2 / (n - 1)^2, each from ``gram_sums_exact``.
+    """
+    from fractions import Fraction
+
+    s = gram_sums_exact(g)
+    n, trace, total = s["n"], s["trace"], s["total"]
+    dc, dc_sq, frob = s["sum_dc"], s["sum_dc_sq"], s["frob_sq"]
+    c2p4 = math.comb(n, 2) * math.perm(n, 4)
+    general = (dc_sq / ((n - 2) * (n - 3))
+               - Fraction(n + 1, n * (n - 1) ** 2 * (n - 3)) * frob
+               - Fraction(1, n * (n - 1) * (n - 2) * (n - 3)) * dc * dc)
+    degen = (Fraction(n * (n * n - 3 * n + 4), 2 * c2p4) * dc_sq
+             - Fraction(2 * (n - 2), c2p4) * frob
+             + Fraction(n * n - 5 * n + 4, 2 * c2p4) * dc * dc)
+    covop_dist = frob / (n - 1) ** 2
+    return {"mean": ((trace / n - (total - trace) / (n * (n - 1))) / n, total / (n * n)),
+            "general": (general, covop_dist), "degenerate": (degen, covop_dist)}

@@ -1,6 +1,6 @@
 """``bench/pairs.py`` refuses two checkouts whose benchmark code differs, or
-whose paths differ in length, and flags the medians that moved beyond their
-bound.
+whose paths differ in length, and a seed range with no seed; it flags the
+medians that moved beyond their bound, and summarizes a single seed.
 
 The script is loaded from its file; no benchmark is run: the checks come
 before the first run, and the verdict is tested on stand-in results.
@@ -124,3 +124,41 @@ def test_verdict_flags_medians_beyond_bound(pairs, tmp_path, monkeypatch, capsys
     assert ("w: beyond its bound: setup_s: median 0.161 -> 0.212 (+31.7%, bound 25%)"
             in err)
     assert "cpu_s: median" not in err
+
+
+def test_empty_seed_range_refused(pairs, tmp_path, capsys):
+    # a reversed range names no seed: refused before any run (the fixture's
+    # _run raises if one starts)
+    before = _checkout(tmp_path / "before", BENCH)
+    after = _checkout(tmp_path / "after0", BENCH)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "60-51", "--out", str(out)]) == 1
+    assert "--seeds 60-51 names no seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_seed_is_its_own_median_and_quartiles(pairs, tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "cpu_s", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "x.calls", "better": "lower"}]}
+    files = {**BENCH, "BENCHMARK.json": json.dumps(spec)}
+    before = _checkout(tmp_path / "before", files)
+    after = _checkout(tmp_path / "after0", files)
+    cpu = {before: 1.0, after: 0.8}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                **({"x.calls": 1} if trace else {"cpu_s": cpu[checkout]})}
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "51", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [pair["before"]["seed"] for pair in report["pairs"]] == [51]
+    entry = report["summary"]["cpu_s"]
+    assert entry["before"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert entry["after"] == {"median": 0.8, "q1": 0.8, "q3": 0.8}
+    assert entry["after_wins"] == 1
+    assert entry["median_change"] == pytest.approx(-0.2)
+    assert report["layer_summary"]["x.calls"]["after"]["median"] == 1

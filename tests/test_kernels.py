@@ -188,8 +188,8 @@ class TestGram:
 
 class TestGaussianProductRoute:
     # from GAUSSIAN_PRODUCT_MIN_DIM coordinates on, and for data within
-    # GAUSSIAN_PRODUCT_MAX_SPREAD bandwidths, the Gaussian Gram comes from one
-    # matrix product of the centered data; the coordinate sums of
+    # GAUSSIAN_PRODUCT_MAX_SPREAD bandwidths, the Gaussian Gram comes from
+    # matrix products of the centered data; the coordinate sums of
     # _gaussian_gram are its oracle.  Duplicate and near-duplicate rows put
     # off-diagonal entries near 1, where the product's cancellation shows.
 
@@ -236,18 +236,18 @@ class TestGaussianProductRoute:
         spec = KernelSpec.gaussian(4.0)
         k = kernel_function(spec)
         pairwise = np.array([[k(a, b) for b in z] for a in x])
-        np.testing.assert_allclose(_kernel_block(spec, x, z), pairwise, rtol=1e-14,
+        np.testing.assert_allclose(_kernel_block(spec, x, z)[0], pairwise, rtol=1e-14,
                                    atol=1e-14 * np.abs(pairwise).max())
 
     def test_route_by_dimension(self):
         assert GAUSSIAN_PRODUCT_MIN_DIM == 8
         rng = np.random.default_rng(7)
         below = 5.0 + rng.normal(size=(60, 7))
-        assert np.array_equal(_kernel_block(KernelSpec.gaussian(7.0), below, below),
+        assert np.array_equal(_kernel_block(KernelSpec.gaussian(7.0), below, below)[0],
                               _gaussian_gram(below, below, 7.0))
         at = 5.0 + rng.normal(size=(60, 8))
-        g = _kernel_block(KernelSpec.gaussian(8.0), at, at)
-        assert np.array_equal(g, _gaussian_gram_product(at, at, 8.0))
+        g = _kernel_block(KernelSpec.gaussian(8.0), at, at)[0]
+        assert np.array_equal(g, _gaussian_gram_product(at, at, 8.0)[0])
         # the two routes differ in the last bits, so the first check is not vacuous
         assert not np.array_equal(g, _gaussian_gram(at, at, 8.0))
 
@@ -271,21 +271,84 @@ class TestGaussianProductRoute:
         for n, cols in shapes:
             x, z = 1.0 + rng.normal(size=(n, d)), rng.normal(size=(cols, d))
             ref = oracles.gaussian_gram_product(x, z, bandwidth)
-            assert np.array_equal(_gaussian_gram_product(x, z, bandwidth), ref), n
+            assert np.array_equal(_gaussian_gram_product(x, z, bandwidth)[0], ref), n
 
-    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("n", sorted({2, 2 * S, *BLOCK_NS}))
     @pytest.mark.parametrize("d", [8, 20, 64])
     def test_square_blocks_match_untiled_formula_bitwise(self, d, n):
-        # the square Gram runs a block of the upper triangle at a time and
-        # mirrors it; every blocking must give the whole-array formula's bits
+        # the square Gram forms each block of the upper triangle's product,
+        # turns it into kernel values and mirrors it; given the same block
+        # products, every blocking must give the whole-array formula's bits,
+        # exactly symmetric with a unit diagonal, and the kernel block of the
+        # data with itself.  The row sums it hands GramMatrix are within 2
+        # ulps of each row's exact sum, or no farther from it than numpy's
+        # own row sum (a pairwise sum of 127 terms can be 3 ulps off), and
+        # up to one block they are numpy's row sums.
         x = np.random.default_rng(300 + n + d).normal(size=(n, d))
-        g = gram(KernelSpec.gaussian(2.0 * d), x).entries
-        assert np.array_equal(g, oracles.gaussian_gram_product(x, x, 2.0 * d))
+        spec = KernelSpec.gaussian(2.0 * d)
+        built = gram(spec, x)
+        g, row_sums = built.entries, built._row_sums
+        assert np.array_equal(g, oracles.gaussian_gram_product(x, x, 2.0 * d, side=S))
         assert np.array_equal(g, g.T)
         assert np.array_equal(np.diagonal(g), np.ones(n))
+        assert np.array_equal(g, _kernel_block(spec, x, x)[0])
+        numpy_sums = g.sum(axis=1)
+        for i, row in enumerate(g):
+            exact = math.fsum(row)
+            allowed = max(2 * math.ulp(exact), abs(numpy_sums[i] - exact))
+            assert abs(row_sums[i] - exact) <= allowed, i
+        if n <= S:
+            assert np.array_equal(row_sums, numpy_sums)
+
+    @pytest.mark.parametrize("n", [S + 1, 300, 500])
+    @pytest.mark.parametrize("d", [8, 20, 64])
+    def test_error_against_long_double(self, d, n):
+        # every entry is within eps (the rounding of exp) plus the module
+        # docstring's eps per unit of spread / bandwidth (2 measured at
+        # d = 20, 4.5 at d = 130) of the long-double kernel of the same float
+        # data, blocked or as one product; close rows put entries near 1,
+        # where the product's cancellation shows
+        rng = np.random.default_rng(500 + n + d)
+        x = rng.normal(size=(n - 20, d))
+        x = np.vstack([x, x[:20] + 1e-6 * rng.normal(size=(20, d))])
+        bandwidth = 2.0 * d
+        xc = x - x.mean(axis=0)
+        spread = 2.0 * np.einsum("ij,ij->i", xc, xc).max() / bandwidth
+        per_unit = 2.0 if d <= 20 else 4.5
+        bound = np.finfo(float).eps * (1.0 + per_unit * spread)
+        ref = oracles.gaussian_gram_longdouble(x, bandwidth)
+        for g in (gram(KernelSpec.gaussian(bandwidth), x).entries,
+                  oracles.gaussian_gram_product(x, x, bandwidth)):
+            assert float(np.abs(g - ref).max()) <= bound
+
+    @pytest.mark.parametrize("n, d", [(2001, 20), (300, 8), (777, 20), (129, 64)])
+    def test_same_bytes_under_one_and_two_blas_threads(self, n, d):
+        # README (Reproducibility) lists these shapes among those whose
+        # product-route Gram is byte-identical whatever the BLAS thread count
+        import hashlib
+        import os
+        import subprocess
+        import sys
+
+        script = ("import hashlib, numpy as np\n"
+                  "from ushrink import KernelSpec, gram\n"
+                  f"x = np.random.default_rng([{n}, {d}]).normal(size=({n}, {d}))\n"
+                  f"g = gram(KernelSpec.gaussian({2.0 * d}), x).entries\n"
+                  "print(hashlib.sha256(g.tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            digests.add(proc.stdout.strip())
+        x = np.random.default_rng([n, d]).normal(size=(n, d))
+        here = gram(KernelSpec.gaussian(2.0 * d), x).entries
+        assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
 
     def test_holds_one_square_array(self):
-        # the product array becomes the Gram: one n x n array and a fixed tile
+        # each block's product is formed in its place in the Gram: one n x n
+        # array and a fixed tile
         import tracemalloc
 
         n, d = 400, 20
@@ -439,14 +502,14 @@ class TestCrossBlock:
         k = kernel_function(spec)
         pairwise = np.array([[k(a, b) for b in z] for a in x])
         # a dot product near zero has only an absolute error bound
-        np.testing.assert_allclose(_kernel_block(spec, x, z), pairwise, rtol=1e-14,
+        np.testing.assert_allclose(_kernel_block(spec, x, z)[0], pairwise, rtol=1e-14,
                                    atol=1e-14 * np.abs(pairwise).max())
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_gram_is_block_with_itself(self, spec):
         x = np.random.default_rng(5).normal(size=(12, 9))
         g = gram(spec, x).entries
-        block = _kernel_block(spec, x, x)
+        block = _kernel_block(spec, x, x)[0]
         assert np.array_equal(g, block if spec.kind == "gaussian"
                               else (block + block.T) / 2.0)
 
@@ -485,7 +548,8 @@ class TestNonFinite:
             for x in sets:
                 for bandwidth in (1e-300, 1e300):
                     spec = KernelSpec.gaussian(bandwidth)
-                    for g in (gram(spec, x).entries, _kernel_block(spec, x, x[:7] / 3)):
+                    for g in (gram(spec, x).entries,
+                              _kernel_block(spec, x, x[:7] / 3)[0]):
                         assert np.all((g >= 0.0) & (g <= 1.0)), bandwidth
 
     def test_exponential_overflow_names_scale(self):

@@ -450,7 +450,7 @@ class TestGramStatistics:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"_gram_sums": 0, "_centered_sums": 0}
+        calls = {"_row_sums": 0, "_centered_sums": 0}
         for name in calls:
             original = getattr(kernels, name)
 
@@ -464,14 +464,47 @@ class TestGramStatistics:
     def test_each_statistic_computed_once(self, counts):
         g = gram(KernelSpec.gaussian(2.0), np.random.default_rng(3).normal(size=(50, 2)))
         first = _reports(g, self.ORDERS[1])
-        assert counts == {"_gram_sums": 1, "_centered_sums": 1}
+        assert counts == {"_row_sums": 1, "_centered_sums": 1}
         assert _reports(g, self.ORDERS[0]) == first
-        assert counts == {"_gram_sums": 1, "_centered_sums": 1}
+        assert counts == {"_row_sums": 1, "_centered_sums": 1}
+
+    @pytest.mark.parametrize("n", [50, 2 * S + 1])
+    def test_product_route_hands_over_row_sums(self, counts, n):
+        # the product route forms the row sums with the entries, so no pass
+        # re-reads the Gram for them
+        g = gram(KernelSpec.gaussian(16.0), np.random.default_rng(3).normal(size=(n, 8)))
+        first = _reports(g, self.ORDERS[1])
+        assert counts == {"_row_sums": 0, "_centered_sums": 1}
+        assert _reports(g, self.ORDERS[0]) == first
+        assert counts == {"_row_sums": 0, "_centered_sums": 1}
 
     def test_raw_array_computed_per_call(self, counts):
         g = gram(LINEAR, np.random.default_rng(3).normal(size=(50, 2))).entries
         _reports(g, self.ORDERS[0])
-        assert counts == {"_gram_sums": 3, "_centered_sums": 2}
+        assert counts == {"_row_sums": 3, "_centered_sums": 2}
+
+
+class TestExactReference:
+    # delta_hat and dist_sq of every Gram report against their exact rational
+    # values for the same float Gram, on the linear Gram, the Gaussian Gram's
+    # coordinate route (d < 8) and its product route (d >= 8)
+
+    @pytest.mark.parametrize("n", [4, 13, 50])
+    @pytest.mark.parametrize("spec, d", [
+        (LINEAR, 3), (KernelSpec.gaussian(6.0), 3), (KernelSpec.gaussian(16.0), 8),
+        (KernelSpec.gaussian(40.0), 20)],
+        ids=["linear", "gaussian-coordinate", "gaussian-product-8",
+             "gaussian-product-20"])
+    def test_reports_within_1e13_of_exact(self, spec, d, n):
+        x = 1.0 + np.random.default_rng(n + d).normal(size=(n, d))
+        g = gram(spec, x)
+        exact = oracles.gram_reports_exact(g.entries)
+        reports = {"mean": shrink_mean(g)[1], "general": shrink_covop(g),
+                   "degenerate": shrink_covop_degen(g)}
+        for name, report in reports.items():
+            delta, dist_sq = exact[name]
+            assert oracles.rel_err(report.delta_hat, float(delta)) <= 1e-13, name
+            assert oracles.rel_err(report.dist_sq, float(dist_sq)) <= 1e-13, name
 
 
 class TestEvaluateMean:
