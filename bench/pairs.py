@@ -12,13 +12,18 @@ the number of pairs the ``after`` side wins on each metric (``summary`` and
 also gives ``median_change``, the relative change of the median (after
 against before), and ``beyond_bound``, true when that change is worse than
 the metric's ``bound`` in ``BENCHMARK.json``; the metrics beyond their bound
-are also printed to stderr.  A seed range with no seed (``60-51``) exits 1
-before any run.  Both checkouts must contain the same
-``perfbench/*.py`` and ``BENCHMARK.json``: before the first run it compares
-their bytes and exits 1 naming the first file that differs.  It also exits 1
-when the two checkouts' resolved paths differ in length, because
-``peak_rss_mb`` moves with that length on every workload.  Run nothing else
-on the machine meanwhile.
+are also printed to stderr.  ``checks`` gives each side's
+``incorrect_runs`` (the seed and trace flag of every run whose outputs
+failed the workload's checks, each also printed to stderr as it happens),
+``failed_ops`` and ``attempted_ops``, over the untraced and traced runs.
+After writing the file it exits 1 when any run was incorrect or the
+``after`` side failed a larger share of its operations than the ``before``
+side.  A seed range with no seed (``60-51``) exits 1 before any run.  Both
+checkouts must contain the same ``perfbench/*.py`` and ``BENCHMARK.json``:
+before the first run it compares their bytes and exits 1 naming the first
+file that differs.  It also exits 1 when the two checkouts' resolved paths
+differ in length, because ``peak_rss_mb`` moves with that length on every
+workload.  Run nothing else on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -60,6 +65,25 @@ def _summary(metrics: dict, runs: list[dict]) -> dict:
             "after_wins": wins,
         }
     return summary
+
+
+def _checks(pairs: list[dict]) -> dict:
+    """Each side's incorrect runs and failed operations, traced runs included."""
+    checks = {}
+    for side in ("before", "after"):
+        runs = ([(pr[side], 0) for pr in pairs]
+                + [(pr["layers"][side], 1) for pr in pairs])
+        checks[side] = {
+            "incorrect_runs": [{"seed": run["seed"], "trace": trace}
+                               for run, trace in runs if not run["correct"]],
+            "failed_ops": sum(run["failed"] for run, _ in runs),
+            "attempted_ops": sum(run["attempted"] for run, _ in runs),
+        }
+    return checks
+
+
+def _failed_share(side: dict) -> float:
+    return side["failed_ops"] / side["attempted_ops"] if side["attempted_ops"] else 0.0
 
 
 def _verdict(summary: dict, bounds: dict) -> list[str]:
@@ -169,22 +193,35 @@ def main(argv=None) -> int:
                 f"{name} {pair[side][name]:.6g}" for name in metrics), file=sys.stderr)
             layers[side] = _run(checkout, args.workload, seed, args.seconds,
                                 trace=1)
+            for run, trace in ((pair[side], 0), (layers[side], 1)):
+                if not run["correct"]:
+                    print(f"seed {seed} {side} (trace {trace}): incorrect outputs",
+                          file=sys.stderr)
         pair["layers"] = layers
         pairs.append(pair)
 
     summary = _summary(metrics, pairs)
     flagged = _verdict(summary, {m["name"]: m["bound"] for m in spec["end_to_end"]})
+    checks = _checks(pairs)
     report = {"workload": args.workload, "seconds": args.seconds,
               "command": "python3 perfbench/run.py --workload W --seed N "
                          f"--seconds {args.seconds:g} --trace 0|1",
               "machine": _machine(), "pairs": pairs,
-              "summary": summary,
+              "checks": checks, "summary": summary,
               "layer_summary": _summary(layer_metrics,
                                         [pr["layers"] for pr in pairs])}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for line in flagged:
         print(f"{args.workload}: beyond its bound: {line}", file=sys.stderr)
-    return 0
+    incorrect = sum(len(side["incorrect_runs"]) for side in checks.values())
+    if incorrect:
+        print(f"{args.workload}: {incorrect} run(s) gave incorrect outputs",
+              file=sys.stderr)
+    before_share, after_share = (_failed_share(checks[s]) for s in ("before", "after"))
+    if after_share > before_share:
+        print(f"{args.workload}: the after side failed {after_share:.3%} of its "
+              f"operations, the before side {before_share:.3%}", file=sys.stderr)
+    return 1 if incorrect or after_share > before_share else 0
 
 
 if __name__ == "__main__":

@@ -289,14 +289,6 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
     return (0 if ok else 1), _dump_json(out)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def main(argv=None) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
@@ -311,7 +303,16 @@ def main(argv=None) -> int:
     except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, config.out_path)
+    if config.out_path is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(config.out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {config.out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return code
 
 

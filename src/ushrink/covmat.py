@@ -45,7 +45,7 @@ from .shrinkage import (
     ShrinkageReport,
     _check_covop_n,
     _covop_delta,
-    _snap_alpha,
+    _report,
 )
 
 _VARIANTS = (GENERAL, DEGENERATE)
@@ -226,10 +226,10 @@ def _dist_sq(n: int, d: int, tr, tr_s2, tau: float):
 def _shrink_block(block: np.ndarray, tau: float | None, variant: str | None):
     """C_hat and its shrinkage toward tau I for each dataset of an (m, n, d) block.
 
-    Returns ``(sigma_hat, c_hat, shrunk, report)`` indexed by dataset first,
-    ``report`` being the ShrinkageReport fields as arrays; the caller checks
-    tau and variant (``_check_target``).  ``variant=None`` shrinks nothing:
-    ``shrunk`` is ``c_hat`` and ``report`` is None.
+    Returns ``(sigma_hat, c_hat, shrunk, report)``, the arrays indexed by
+    dataset first and ``report`` a ShrinkageReport of arrays; the caller
+    checks tau and variant (``_check_target``).  ``variant=None`` shrinks
+    nothing: ``shrunk`` is ``c_hat`` and ``report`` is None.
     """
     _, n, d = block.shape
     if variant is not None:
@@ -239,8 +239,8 @@ def _shrink_block(block: np.ndarray, tau: float | None, variant: str | None):
     if variant is None:
         return sigma, c_hat, c_hat, None
     delta = _covop_delta(variant, n, n * tr, sum_fourth, n * n * tr_s2)
-    report = (delta, *_snap_alpha(delta, _dist_sq(n, d, tr, tr_s2, tau)))
-    alpha = report[3][:, None, None]
+    report = _report(variant, delta, _dist_sq(n, d, tr, tr_s2, tau))
+    alpha = report.alpha[:, None, None]
     shrunk = (1.0 - alpha) * c_hat + alpha * tau * np.eye(d)
     return sigma, c_hat, shrunk, report
 
@@ -261,6 +261,5 @@ def shrink_cov_matrix(data, tau: float = 1.0,
     _check_target(tau, variant)
     x = as_dataset(data)
     sigma, c_hat, shrunk, report = _shrink_block(x[None], tau, variant)
-    report = ShrinkageReport(*(float(v[0]) for v in report), variant=variant)
     return CovShrinkResult(sigma_hat=sigma[0], c_hat=c_hat[0], shrunk=shrunk[0],
-                           report=report)
+                           report=report.at(0))

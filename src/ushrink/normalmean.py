@@ -19,14 +19,16 @@ import numpy as np
 
 from .errors import InsufficientSampleError, ParameterError
 from .kernels import _fsum_tiles, _row_tiles, as_dataset
-from .shrinkage import alpha_from
+from .shrinkage import GENERAL, ShrinkageReport, _report
 
 
 @dataclass(frozen=True, eq=False)
 class NormalMeanResult:
+    """Sample mean, S^2, the report of delta_hat = S^2/n, c and the estimate."""
+
     xbar: np.ndarray
     s2: float
-    alpha: float
+    report: ShrinkageReport
     c: float
     estimate: np.ndarray
 
@@ -34,7 +36,7 @@ class NormalMeanResult:
         return {
             "xbar": self.xbar.tolist(),
             "s2": self.s2,
-            "alpha": self.alpha,
+            "alpha": self.report.alpha,
             "c": self.c,
             "estimate": self.estimate.tolist(),
         }
@@ -58,25 +60,26 @@ def mu_check_c(data, c: float) -> NormalMeanResult:
         raise ParameterError(f"damping constant c must lie in (0, 2), got {c}")
     # an overflow comes out inf or nan and alpha_from raises on it
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar, s2, alpha, estimate = mu_check_c_batch(as_dataset(data)[None], c)
-    return NormalMeanResult(xbar=xbar[0], s2=float(s2[0]), alpha=float(alpha[0]),
+        xbar, s2, report, estimate = mu_check_c_batch(as_dataset(data)[None], c)
+    return NormalMeanResult(xbar=xbar[0], s2=float(s2[0]), report=report.at(0),
                             c=c, estimate=estimate[0])
 
 
 def mu_check_c_batch(block: np.ndarray, c: float):
     """``mu_check_c`` on every dataset of an (m, n, d) block at once.
 
-    Returns the arrays ``(xbar, s2, alpha, estimate)``, each indexed by
-    dataset first.  The reductions are fixed so that a block row equals the
-    same dataset on its own bit for bit: means along the observation axis,
-    the pooled deviation as a sum over each dataset's flattened squared
-    residuals, and squared norms by ``np.vecdot``.  The residuals are formed
-    and squared a tile of rows at a time (``kernels._row_tiles``, 64 KiB for
-    one dataset, the row step set by d alone), so no second n x d array is
-    formed.  A dataset of at most one tile (n d <= 8192 values) gets the
-    bits of one sum over all its residuals; above one tile the tiles' sums
-    are combined by ``math.fsum`` (``kernels._fsum_tiles``) and S^2 can
-    move in the last bits.
+    Returns ``(xbar, s2, report, estimate)``, each indexed by dataset first,
+    ``report`` a ShrinkageReport of arrays with delta_hat = S^2/n and
+    dist_sq = ||Xbar||^2.  The reductions are fixed so that a block row
+    equals the same dataset on its own bit for bit: means along the
+    observation axis, the pooled deviation as a sum over each dataset's
+    flattened squared residuals, and squared norms by ``np.vecdot``.  The
+    residuals are formed and squared a tile of rows at a time
+    (``kernels._row_tiles``, 64 KiB for one dataset, the row step set by d
+    alone), so no second n x d array is formed.  A dataset of at most one
+    tile (n d <= 8192 values) gets the bits of one sum over all its
+    residuals; above one tile the tiles' sums are combined by ``math.fsum``
+    (``kernels._fsum_tiles``) and S^2 can move in the last bits.
     """
     m, n, d = block.shape
     if n < 2:
@@ -89,9 +92,9 @@ def mu_check_c_batch(block: np.ndarray, c: float):
         np.subtract(block[:, rows], xbar[:, None], out=xc)
         parts.append(np.square(xc, out=xc).reshape(m, -1).sum(axis=1))
     s2 = _fsum_tiles(parts) / (n - 1)
-    alpha = alpha_from(s2 / n, np.vecdot(xbar, xbar))[1]
-    estimate = (1.0 - c * alpha)[:, None] * xbar
-    return xbar, s2, alpha, estimate
+    report = _report(GENERAL, s2 / n, np.vecdot(xbar, xbar))
+    estimate = (1.0 - c * report.alpha)[:, None] * xbar
+    return xbar, s2, report, estimate
 
 
 def default_c(n: int) -> float:

@@ -9,7 +9,7 @@ subcommand runs them and reports pass/fail counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,19 +37,14 @@ class SuiteResult:
     name: str
     passed: int
     failed: int
-    worst: float
+    worst_relative_error: float
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failed": self.failed,
-            "worst_relative_error": self.worst,
-        }
+        return asdict(self)
 
 
 def _rel(a: float, b: float) -> float:

@@ -23,14 +23,14 @@ denominator is resolved to alpha = 0 (no shrinkage).  Squared distances that
 round slightly negative (above -1e-9) are snapped to zero.  A denominator
 delta_hat + ||C_hat - f*||^2 that is not finite (a NaN or infinite input, or
 a sum that overflows float64) raises ``ValueError``.  One function,
-``alpha_from``, forms every coefficient, elementwise over floats or over the
-arrays of a block of Monte Carlo datasets; ``_snap_alpha`` snaps first.
+``_report``, forms every coefficient and its ``ShrinkageReport``, elementwise
+over floats or the arrays of a block of datasets, by ``alpha_from``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,24 +46,27 @@ DEGENERATE = "degenerate"
 DIST_SQ_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkageReport:
-    """Risk estimate, squared distance to the target, and the coefficient."""
+    """Risk estimate, squared distance to the target, and the coefficient.
 
-    delta_hat: float
-    dist_sq: float
-    alpha_raw: float
-    alpha: float
+    Each number is a float, or for a block of datasets an array of one value
+    per dataset; ``at`` takes one dataset's report out of a block's.
+    """
+
+    delta_hat: float | np.ndarray
+    dist_sq: float | np.ndarray
+    alpha_raw: float | np.ndarray
+    alpha: float | np.ndarray
     variant: str
 
+    def at(self, i: int) -> "ShrinkageReport":
+        return ShrinkageReport(float(self.delta_hat[i]), float(self.dist_sq[i]),
+                               float(self.alpha_raw[i]), float(self.alpha[i]),
+                               self.variant)
+
     def to_dict(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "dist_sq": self.dist_sq,
-            "alpha_raw": self.alpha_raw,
-            "alpha": self.alpha,
-            "variant": self.variant,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +134,13 @@ def alpha_from(delta_hat, dist_sq):
     return (float(raw), float(alpha)) if raw.ndim == 0 else (raw, alpha)
 
 
-def _snap_alpha(delta, dist_sq):
-    """(dist_sq, alpha_raw, alpha), dist_sq in (DIST_SQ_FLOOR, 0) snapped to 0."""
+def _report(variant: str, delta, dist_sq) -> ShrinkageReport:
+    """Report of a risk estimate and a squared distance, floats or a block's arrays."""
     dist_sq = np.where((DIST_SQ_FLOOR < dist_sq) & (dist_sq < 0.0), 0.0, dist_sq)
-    return (dist_sq, *alpha_from(delta, dist_sq))
-
-
-def _report(variant: str, delta: float, dist_sq: float) -> ShrinkageReport:
-    """Report of a risk estimate and a squared distance to the target."""
-    dist_sq, raw, alpha = _snap_alpha(delta, dist_sq)
-    return ShrinkageReport(delta_hat=delta, dist_sq=float(dist_sq),
+    raw, alpha = alpha_from(delta, dist_sq)
+    if dist_sq.ndim == 0:
+        dist_sq = float(dist_sq)
+    return ShrinkageReport(delta_hat=delta, dist_sq=dist_sq,
                            alpha_raw=raw, alpha=alpha, variant=variant)
 
 
@@ -352,8 +352,8 @@ def _covop_delta(variant: str, n: int, sum_dc, sum_dc_sq, frob_sq):
     return delta
 
 
-def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
-    """n, sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2 of a Gram matrix.
+def _covop_gram_report(variant: str, gram) -> ShrinkageReport:
+    """Covariance-operator report from sum_i dc_i, sum_i dc_i^2 and ||Gc||_F^2.
 
     Gc is the double-centered Gram matrix and dc its diagonal.  Centering
     keeps ``_covop_delta``'s polynomials well conditioned: the sums live on
@@ -366,12 +366,9 @@ def _centered_gram_sums(gram) -> tuple[int, float, float, float]:
     """
     g = _gram(gram)
     _check_covop_n(g.n)
-    return (g.n, *g._centered)
-
-
-def _covop_gram_report(variant: str, gram) -> ShrinkageReport:
-    n, *sums = _centered_gram_sums(gram)  # the last is frob_sq
-    return _report(variant, _covop_delta(variant, n, *sums), sums[2] / (n - 1) ** 2)
+    sum_dc, sum_dc_sq, frob_sq = g._centered
+    return _report(variant, _covop_delta(variant, g.n, sum_dc, sum_dc_sq, frob_sq),
+                   frob_sq / (g.n - 1) ** 2)
 
 
 def shrink_covop(gram) -> ShrinkageReport:

@@ -22,10 +22,11 @@ stays bounded whatever the number of replications.  Every estimator is
 evaluated on the whole block at once, by the code its one-dataset API runs
 on a block of one (``normalmean.mu_check_c_batch``, ``covmat._shrink_block``)
 or, for the Gaussian-kernel embedding, from each dataset's Gram trace and
-sum, with ``alpha_from`` over the block's arrays.  Reductions are fixed so
-that every row equals the one-dataset computation bit for bit; no estimator
-writes to the block.  Aggregation uses exact (Shewchuk) summation, so the
-reported risk does not depend on accumulation order.
+sum.  Each coefficient is read from a ``ShrinkageReport`` of the block's
+arrays, formed by ``shrinkage._report`` as for one dataset.  Reductions are
+fixed so that every row equals the one-dataset computation bit for bit; no
+estimator writes to the block.  Aggregation uses exact (Shewchuk)
+summation, so the reported risk does not depend on accumulation order.
 
 Dispatch
 --------
@@ -60,7 +61,7 @@ import numpy as np
 from . import covmat, normalmean
 from .errors import CapabilityError, ParameterError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec, gram
-from .shrinkage import GENERAL, _mean_stats, _snap_alpha, alpha_from
+from .shrinkage import GENERAL, _mean_stats, _report, alpha_from
 
 SPHERICAL_GAUSSIAN = "spherical_gaussian"
 DIAG_GAUSSIAN = "diag_gaussian"
@@ -354,16 +355,16 @@ def _fixed_alpha_errors(est, dist, block):
 
 def _shrunk_mean_errors(est, dist, block):
     c = 1.0 if est.c is None else est.c
-    _, _, alpha, estimate = normalmean.mu_check_c_batch(block, c)
+    _, _, report, estimate = normalmean.mu_check_c_batch(block, c)
     diff = estimate - dist.mean
-    return np.vecdot(diff, diff), alpha
+    return np.vecdot(diff, diff), report.alpha
 
 
 def _cov_errors(est, dist, block):
     # shrink_cov_matrix's block code; the plain estimator (no variant) is its C_hat
     _, _, estimate, report = covmat._shrink_block(block, est.tau, est.variant)
     diff = (estimate - dist.covariance).reshape(len(block), -1)
-    alpha = np.full(len(block), math.nan) if report is None else report[3]
+    alpha = np.full(len(block), math.nan) if report is None else report.alpha
     return np.square(diff).sum(axis=1), alpha
 
 
@@ -371,13 +372,13 @@ def _gaussian_embed_errors(est, dist, block):
     m, n, d = block.shape
     # trace and entry sum of each dataset's Gram
     sums = np.array([gram(est.kernel, data)._row_stats[:2] for data in block]).T
-    dist_sq, _, alpha = _snap_alpha(*_mean_stats(*sums, n))
-    w = 1.0 - alpha
+    report = _report(GENERAL, *_mean_stats(*sums, n))
+    w = 1.0 - report.alpha
     cross = gaussian_kernel_location_moment(
         block.reshape(-1, d), dist.mu, dist.sigma, est.kernel.bandwidth)
     cross = cross.reshape(m, n).mean(axis=1)
     norm_c = _gaussian_embed_moments(est, dist)[1]
-    return w * w * dist_sq - 2.0 * w * cross + norm_c, alpha
+    return w * w * report.dist_sq - 2.0 * w * cross + norm_c, report.alpha
 
 
 def _mean_moments(est, dist):
@@ -528,7 +529,7 @@ def oracle_alpha(dist: DistSpec, est: EstimatorSpec, n: int) -> float:
 def rate_slope(points) -> float:
     """Least-squares slope of log(risk) against log(n).
 
-    Needs at least three (n, risk) points, all finite and strictly positive.
+    Needs 3 or more finite, positive (n, risk) points at 2 or more distinct n.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -537,6 +538,8 @@ def rate_slope(points) -> float:
     risks = np.array([p[1] for p in pts], dtype=float)
     if not all(((v > 0) & (v < math.inf)).all() for v in (ns, risks)):
         raise ParameterError("all n and risk values must be finite and positive")
+    if np.unique(ns).size < 2:
+        raise ParameterError(f"need at least two distinct n, got {ns.tolist()}")
     slope, _ = np.polyfit(np.log(ns), np.log(risks), 1)
     return float(slope)
 
@@ -594,15 +597,15 @@ def run_experiment(name: str, *, reps: int | None = None, seed: int = DEFAULT_SE
                    n_grid: Optional[list[int]] = None) -> dict:
     """Run a canned simulation and return a JSON-ready result dict.
 
-    ``n_grid`` (three or more sample sizes >= 2, for the consistency
+    ``n_grid`` (3 or more sample sizes >= 2, two distinct, for the consistency
     experiment's rate fit) and ``reps`` are checked before anything is drawn.
     """
     if name not in _EXPERIMENTS:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {experiment_names()}")
     if n_grid is not None and (name != "consistency" or len(n_grid) < 3
-                               or min(n_grid) < 2):
-        raise ParameterError("n_grid takes 3 or more sample sizes >= 2, for the "
+                               or min(n_grid) < 2 or len(set(n_grid)) < 2):
+        raise ParameterError("n_grid takes 3 or more sizes >= 2, two distinct, for the "
                              f"consistency experiment only; got {n_grid} for {name}")
     description, default_reps = _EXPERIMENTS[name]
     reps = default_reps if reps is None else reps

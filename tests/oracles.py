@@ -269,6 +269,29 @@ def cov_shrink_exact(data, tau: float, variant: str) -> dict:
     return {"delta_hat": delta, "dist_sq": dist, "alpha": alpha}
 
 
+def normal_mean_exact(data, c: float) -> dict:
+    """``mu_check_c``'s S^2, report and estimate in exact arithmetic.
+
+    Every float is a rational, so the mean Xbar, the pooled deviation
+    S^2 = sum_i ||X_i - Xbar||^2 / (n - 1), delta_hat = S^2/n,
+    dist_sq = ||Xbar||^2, alpha = delta_hat / (delta_hat + dist_sq) (0 on a
+    zero denominator) and the estimate (1 - c alpha) Xbar are
+    ``fractions.Fraction`` values without rounding.  Pure Python: keep n <= 50
+    or so.
+    """
+    from fractions import Fraction
+
+    rows = [[Fraction(v) for v in row]
+            for row in np.asarray(data, dtype=float).tolist()]
+    n = len(rows)
+    mean = [sum(col) / n for col in zip(*rows)]
+    s2 = sum((v - mu) ** 2 for row in rows for v, mu in zip(row, mean)) / (n - 1)
+    delta, dist = s2 / n, sum(mu * mu for mu in mean)
+    alpha = Fraction(0) if delta + dist == 0 else delta / (delta + dist)
+    return {"s2": s2, "delta_hat": delta, "dist_sq": dist, "alpha": alpha,
+            "estimate": [(1 - Fraction(c) * alpha) * mu for mu in mean]}
+
+
 def gram_sums_exact(g) -> dict:
     """A float Gram's statistics in exact rational arithmetic.
 

@@ -22,6 +22,7 @@ from ushrink import (
     gram,
     kernel_function,
     mean_inner,
+    mu_check,
     oracle_alpha,
     rate_slope,
     sample,
@@ -280,9 +281,15 @@ def test_criterion_10_cross_module_consistency(criterion):
         worst = max(worst, oracles.rel_err(res.report.delta_hat, report.delta_hat))
         worst = max(worst, oracles.rel_err(res.report.dist_sq, report.dist_sq))
         worst = max(worst, oracles.rel_err(res.report.alpha, report.alpha))
+        # the mean pair: S^2/n and ||Xbar||^2 from the data, and from the
+        # linear Gram's trace and sum
+        normal, embed = mu_check(data).report, shrink_mean(gram(LINEAR, data))[1]
+        for name in ("delta_hat", "dist_sq", "alpha"):
+            worst = max(worst, oracles.rel_err(getattr(normal, name),
+                                               getattr(embed, name)))
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 10.0
-    criterion(10, "matrix vs operator route", ok,
+    criterion(10, "matrix vs operator route, normal vs embedded mean", ok,
               f"worst rel err {worst:.2e}, {elapsed:.2f}s")
     assert worst <= 1e-9
     assert elapsed < 10.0

@@ -39,6 +39,7 @@ def test_import_loads_no_heavy_modules():
 def _array_holders():
     import numpy as np
 
+    from ushrink.covmat import _shrink_block
     from ushrink.shrinkage import DualMeanElement
 
     x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.5], [0.0, 0.0]])
@@ -48,6 +49,9 @@ def _array_holders():
         "DualMeanElement": lambda: DualMeanElement(np.ones(3) / 3, np.zeros(0)),
         "CovShrinkResult": lambda: ushrink.shrink_cov_matrix(x),
         "NormalMeanResult": lambda: ushrink.mu_check(x),
+        # a block's report holds one array per field
+        "ShrinkageReport": lambda: _shrink_block(np.stack([x, 2 * x]), 1.0,
+                                                 ushrink.GENERAL)[3],
         "DistSpec": lambda: ushrink.DistSpec.spherical_gaussian([0.0, 1.0], 1.0),
     }
 

@@ -1,6 +1,8 @@
 """``bench/pairs.py`` refuses two checkouts whose benchmark code differs, or
 whose paths differ in length, and a seed range with no seed; it flags the
-medians that moved beyond their bound, and summarizes a single seed.
+medians that moved beyond their bound, and summarizes a single seed; it
+exits 1 after writing its file when a run gave incorrect outputs or the
+``after`` side failed a larger share of its operations.
 
 The script is loaded from its file; no benchmark is run: the checks come
 before the first run, and the verdict is tested on stand-in results.
@@ -162,3 +164,60 @@ def test_one_seed_is_its_own_median_and_quartiles(pairs, tmp_path, monkeypatch):
     assert entry["after_wins"] == 1
     assert entry["median_change"] == pytest.approx(-0.2)
     assert report["layer_summary"]["x.calls"]["after"]["median"] == 1
+
+
+def _fake_runs(tmp_path, monkeypatch, pairs, outcome):
+    """Two checkouts and a stand-in ``_run`` whose correctness and failures
+    come from ``outcome(side, seed, trace)`` -> (correct, failed of 4 ops)."""
+    spec = {"end_to_end": [{"name": "cpu_s", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "x.calls", "better": "lower"}]}
+    files = {**BENCH, "BENCHMARK.json": json.dumps(spec)}
+    sides = {_checkout(tmp_path / "before", files): "before",
+             _checkout(tmp_path / "after0", files): "after"}
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        correct, failed = outcome(sides[checkout], seed, trace)
+        return {"seed": seed, "correct": correct, "attempted": 4, "failed": failed,
+                **({"x.calls": 1} if trace else {"cpu_s": 1.0})}
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    return list(sides)
+
+
+def test_incorrect_run_reported_and_exits_1(pairs, tmp_path, monkeypatch, capsys):
+    before, after = _fake_runs(
+        tmp_path, monkeypatch, pairs,
+        lambda side, seed, trace: (not (side == "after" and seed == 2 and trace), 0))
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "1-3", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]  # written all the same
+    assert checks["after"] == {"incorrect_runs": [{"seed": 2, "trace": 1}],
+                               "failed_ops": 0, "attempted_ops": 24}
+    assert checks["before"]["incorrect_runs"] == []
+    err = capsys.readouterr().err
+    assert "seed 2 after (trace 1): incorrect outputs" in err
+    assert "w: 1 run(s) gave incorrect outputs" in err
+
+
+def test_incorrect_before_run_exits_1(pairs, tmp_path, monkeypatch):
+    before, after = _fake_runs(tmp_path, monkeypatch, pairs,
+                               lambda side, seed, trace: (side == "after", 0))
+    assert pairs.main(["--before", str(before), "--after", str(after), "--workload",
+                       "w", "--seeds", "1", "--out", str(tmp_path / "B.json")]) == 1
+
+
+@pytest.mark.parametrize("failed, code", [({"before": 1, "after": 2}, 1),
+                                          ({"before": 1, "after": 1}, 0),
+                                          ({"before": 2, "after": 1}, 0)])
+def test_larger_failed_share_after_exits_1(pairs, tmp_path, monkeypatch, capsys,
+                                           failed, code):
+    before, after = _fake_runs(tmp_path, monkeypatch, pairs,
+                               lambda side, seed, trace: (True, failed[side]))
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--before", str(before), "--after", str(after),
+                       "--workload", "w", "--seeds", "1-2", "--out", str(out)]) == code
+    checks = json.loads(out.read_text())["checks"]
+    assert [checks[side]["failed_ops"] for side in ("before", "after")] == [
+        4 * failed["before"], 4 * failed["after"]]
+    assert ("the after side failed" in capsys.readouterr().err) == bool(code)

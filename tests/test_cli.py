@@ -113,7 +113,7 @@ class TestNormalMeanCommand:
         payload = json.loads(out)
         data = read_dataset(cov_csv)
         expected = mu_check_c(data, default_c(len(data)))
-        assert payload["alpha"] == expected.alpha
+        assert payload["alpha"] == expected.report.alpha
         assert payload["s2"] == expected.s2
         assert payload["estimate"] == expected.estimate.tolist()
         assert json.loads(json.dumps(payload)) == payload
@@ -229,6 +229,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("experiment, grid", [
         ("mean-improvement", "4,5,6"), ("oracle", "10,20,30"), ("consistency", "25,50"),
+        ("consistency", "25,25,25"),
     ])
     def test_n_grid_only_for_consistency(self, capsys, monkeypatch, experiment, grid):
         # refused by run_experiment before any replication is drawn
@@ -377,6 +378,20 @@ def test_out_path_writes_file(tmp_path, capsys, data_csv):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out_file.read_text())["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, data_csv, where):
+    # the result is computed and then cannot be written: one error line and
+    # README's exit code 1, not a traceback
+    out_path = {"missing-directory": tmp_path / "nonexistent" / "x.json",
+                "a-directory": tmp_path}[where]
+    code, out, err = run_cli(capsys, "normal-mean", "--input", data_csv,
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
 
 
 class TestNonFiniteInput:

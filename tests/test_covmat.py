@@ -330,7 +330,9 @@ class TestRowTiles:
             alone = shrink_cov_matrix(x, 0.5, DEGENERATE)
             assert np.array_equal(sigma[i], alone.sigma_hat)
             assert np.array_equal(shrunk[i], alone.shrunk)
-            assert report[0][i] == alone.report.delta_hat
+            assert (report.delta_hat[i], report.dist_sq[i], report.alpha_raw[i],
+                    report.alpha[i]) == (alone.report.delta_hat, alone.report.dist_sq,
+                                         alone.report.alpha_raw, alone.report.alpha)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_across_tiles_raises(self):

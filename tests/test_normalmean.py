@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,19 +21,19 @@ class TestMuCheck:
         res = mu_check(TWO_BY_FIVE)
         assert np.array_equal(res.xbar, [1, 1, 0, 0, 0])
         assert res.s2 == 4.0
-        assert res.alpha == 0.5
+        assert res.report.alpha == 0.5
         assert np.array_equal(res.estimate, [0.5, 0.5, 0, 0, 0])
 
     def test_zero_variance_no_shrinkage(self):
         x0 = np.array([1.5, -2.0])
         res = mu_check(np.tile(x0, (4, 1)))
         assert res.s2 == 0.0
-        assert res.alpha == 0.0
+        assert res.report.alpha == 0.0
         assert np.array_equal(res.estimate, x0)
 
     def test_all_zero_data(self):
         res = mu_check(np.zeros((3, 4)))
-        assert res.alpha == 0.0
+        assert res.report.alpha == 0.0
         assert np.array_equal(res.estimate, np.zeros(4))
 
     def test_too_small(self):
@@ -45,7 +47,7 @@ class TestMuCheckC:
         data = rng.normal(size=(6, 3))
         a, b = mu_check(data), mu_check_c(data, 1.0)
         assert np.array_equal(a.estimate, b.estimate)
-        assert a.alpha == b.alpha
+        assert a.report.alpha == b.report.alpha
 
     def test_vanishing_c_limit(self):
         rng = np.random.default_rng(1)
@@ -68,7 +70,7 @@ class TestMuCheckC:
         for c in (0.2, 0.7, 1.0):
             data = rng.normal(size=(5, 3))
             res = mu_check_c(data, c)
-            factor = 1.0 - c * res.alpha
+            factor = 1.0 - c * res.report.alpha
             assert 0.0 <= factor <= 1.0
             assert np.allclose(res.estimate, factor * res.xbar, rtol=0, atol=0)
 
@@ -78,7 +80,7 @@ class TestMuCheckC:
         base = mu_check(data)
         for s in (2.0, -3.5, 0.25):
             scaled = mu_check(s * data)
-            assert scaled.alpha == pytest.approx(base.alpha, rel=1e-12)
+            assert scaled.report.alpha == pytest.approx(base.report.alpha, rel=1e-12)
             assert np.allclose(scaled.estimate, s * base.estimate, rtol=1e-12)
 
     def test_rotation_equivariance(self):
@@ -88,7 +90,7 @@ class TestMuCheckC:
         q = q * np.sign(np.diagonal(r))
         base = mu_check(data)
         rotated = mu_check(data @ q.T)
-        assert rotated.alpha == pytest.approx(base.alpha, rel=1e-12)
+        assert rotated.report.alpha == pytest.approx(base.report.alpha, rel=1e-12)
         assert np.allclose(rotated.estimate, base.estimate @ q.T, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [
@@ -136,6 +138,27 @@ class TestConstants:
             dimension_threshold(5, 2.0)
 
 
+class TestExactReference:
+    # against exact rational arithmetic on the float data: the rounded mean
+    # shifts every residual by a common ulp-sized amount, which moves S^2 at
+    # second order only, so the normal mean keeps its digits at any offset
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_offset_data_within_1e13_of_exact(self, offset, n):
+        x = np.random.default_rng(n).normal(size=(n, 3)) + offset
+        res = mu_check_c(x, 0.7)
+        exact = oracles.normal_mean_exact(x, 0.7)
+        got = {name: getattr(res.report, name)
+               for name in ("delta_hat", "dist_sq", "alpha")}
+        for name, value in {**got, "s2": res.s2}.items():
+            assert abs(Fraction(value) - exact[name]) <= (
+                Fraction(1e-13) * abs(exact[name])), name
+        scale = max(map(abs, exact["estimate"]))
+        for value, ref in zip(res.estimate.tolist(), exact["estimate"]):
+            assert abs(Fraction(value) - ref) <= Fraction(1e-13) * scale
+
+
 def offset_data(rng, n, d):
     """Data with a nonzero mean and unequal scales, so centering matters."""
     return 0.3 + rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d)
@@ -159,7 +182,7 @@ class TestRowTiles:
         x = offset_data(np.random.default_rng(n + d), n, d)
         res, ref = mu_check_c(x, 0.7), oracles.normal_mean_untiled(x, 0.7)
         assert abs(res.s2 - ref["s2"]) <= 1e-13 * ref["s2"]
-        assert abs(res.alpha - ref["alpha"]) <= 1e-13
+        assert abs(res.report.alpha - ref["alpha"]) <= 1e-13
         scale = np.abs(ref["estimate"]).max()
         assert np.abs(res.estimate - ref["estimate"]).max() <= 1e-13 * scale
 
@@ -168,10 +191,13 @@ class TestRowTiles:
 
         rng = np.random.default_rng(3)
         block = np.stack([offset_data(rng, 1000, 12) for _ in range(3)])
-        _, s2, alpha, estimate = mu_check_c_batch(block, 0.7)
+        _, s2, report, estimate = mu_check_c_batch(block, 0.7)
         for i, x in enumerate(block):
             alone = mu_check_c(x, 0.7)
-            assert (s2[i], alpha[i]) == (alone.s2, alone.alpha)
+            assert s2[i] == alone.s2
+            assert (report.delta_hat[i], report.dist_sq[i], report.alpha_raw[i],
+                    report.alpha[i]) == (alone.report.delta_hat, alone.report.dist_sq,
+                                         alone.report.alpha_raw, alone.report.alpha)
             assert np.array_equal(estimate[i], alone.estimate)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

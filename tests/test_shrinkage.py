@@ -33,7 +33,7 @@ from ushrink import (
     u_stat_perm,
 )
 from ushrink.kernels import _BLOCK_SIDE as S
-from ushrink.shrinkage import DIST_SQ_FLOOR, _centered_gram_sums, _report, _snap_alpha
+from ushrink.shrinkage import DIST_SQ_FLOOR, _report
 
 # finite doubles, subnormals and both zeros included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -79,13 +79,15 @@ class TestAlphaFrom:
     def test_snap_to_zero(self):
         # only squared distances in (DIST_SQ_FLOOR, 0) count as rounding
         dist_sq = [-1e-10, -0.0, DIST_SQ_FLOOR, -1e-3, 0.5]
-        snapped, raw, alpha = _snap_alpha(np.full(5, 0.25), np.array(dist_sq))
+        block = _report(GENERAL, np.full(5, 0.25), np.array(dist_sq))
+        snapped = block.dist_sq
         assert snapped.tolist() == [0.0, 0.0, DIST_SQ_FLOOR, -1e-3, 0.5]
         assert np.signbit(snapped).tolist() == [False, True, True, True, False]
         for i, value in enumerate(dist_sq):  # the one-dataset report agrees
             report = _report(GENERAL, 0.25, value)
             assert (report.dist_sq, report.alpha_raw, report.alpha) == (
-                snapped[i], raw[i], alpha[i])
+                snapped[i], block.alpha_raw[i], block.alpha[i])
+            assert type(report.dist_sq) is float
 
     def test_floats_give_floats(self):
         assert all(type(v) is float for v in alpha_from(1.0, 3.0))
@@ -359,13 +361,13 @@ class TestShrinkCovop:
         # exact sum of the rounded squares
         g = gram(KernelSpec.gaussian(20.0),
                  np.random.default_rng(n).normal(size=(n, 20))).entries
-        sums = _centered_gram_sums(g)
-        ref = oracles.centered_gram_sums(g)
-        assert sums[:3] == ref[:3]
+        sums = GramMatrix(g)._centered
+        ref = oracles.centered_gram_sums(g)[1:]  # after n
+        assert sums[:2] == ref[:2]
         exact = math.fsum(np.square(oracles.double_centered_gram(g)).ravel())
-        assert abs(sums[3] - exact) <= 1e-15 * exact
+        assert abs(sums[2] - exact) <= 1e-15 * exact
         if n <= S:
-            assert sums[3] == ref[3]
+            assert sums[2] == ref[2]
 
     def test_raw_asymmetric_array_refused(self):
         # the centered sums read the upper triangle alone, so a raw array must

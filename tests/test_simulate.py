@@ -275,6 +275,16 @@ class TestRateSlope:
         with pytest.raises(ParameterError, match="finite"):
             rate_slope(points)
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_distinct_n_rejected(self):
+        # a line through points at one n has no slope; numpy's fit would warn
+        # and return a number
+        with pytest.raises(ParameterError, match="two distinct n"):
+            rate_slope([(25, 0.1), (25, 0.2), (25.0, 0.3)])
+
+    def test_two_distinct_n_accepted(self):
+        assert rate_slope([(10, 1.0), (10, 1.0), (100, 0.1)]) == pytest.approx(-1.0)
+
 
 class TestExperiments:
     def test_mean_improvement_small(self):
@@ -301,6 +311,7 @@ class TestExperiments:
         ("consistency", {"n_grid": []}, "3 or more"),
         ("consistency", {"n_grid": [25, 1, 50]}, ">= 2"),
         ("consistency", {"reps": 99}, "reps"),
+        ("consistency", {"n_grid": [25, 25, 25]}, r"two.*distinct.*\[25, 25, 25\]"),
     ])
     def test_arguments_checked_before_sampling(self, monkeypatch, name, kwargs,
                                                 match):
@@ -368,7 +379,7 @@ class TestBatchedReplication:
                 diff, alpha = res.shrunk - dist.covariance, res.report.alpha
             else:
                 res = normalmean.mu_check_c(data, 1.0 if est.c is None else est.c)
-                diff, alpha = res.estimate - dist.mean, res.alpha
+                diff, alpha = res.estimate - dist.mean, res.report.alpha
             errs.append(float(diff @ diff) if diff.ndim == 1
                         else float(np.sum(diff * diff)))
             alphas.append(alpha)
